@@ -112,15 +112,21 @@ def _load_spectrum(token: str) -> NoiseSpectrum:
 
 
 def _parse_grid(token: str, geometric: bool) -> np.ndarray:
+    usage = f"grid must be lo:hi:count[:lin|:geom], got {token!r}"
     parts = token.split(":")
     if len(parts) == 4:
         kind, parts = parts[3], parts[:3]
-        geometric = {"geom": True, "lin": False}[kind]
+        if kind not in ("geom", "lin"):
+            raise ValidationError(usage)
+        geometric = kind == "geom"
     if len(parts) != 3:
-        raise ValidationError(f"grid must be lo:hi:count[:lin|:geom], got {token!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or lo <= 0.0 or hi <= lo:
-        raise ValidationError("grid needs 0 < lo < hi and count >= 1")
+        raise ValidationError(usage)
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValidationError(usage) from None
+    if count < 1 or not 0.0 < lo < hi < math.inf:
+        raise ValidationError("grid needs 0 < lo < hi < inf and count >= 1")
     return np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
 
 
@@ -229,22 +235,22 @@ def _cmd_synth(args) -> int:
     return _finish(args, outputs, prefix=prefix)
 
 
-def _oracle_sample_rate(spec: SequenceSpec, omega_max: float) -> float:
+def _oracle_sample_rate(spec: SequenceSpec, extent: float) -> float:
     if spec.family.pulsed:
         floor = 20.0 / (2.0 * spec.tau_free)
     else:
         floor = 20.0 * spec.mod_frequency
         if spec.quant_steps:
             floor = max(floor, 4.0 * spec.quant_steps * spec.mod_frequency)
-    mc_floor = 10.0 * omega_max / _TWO_PI
+    # McConfig's default band, 2 pi rate / 10, then covers the extent
+    mc_floor = 10.0 * extent / _TWO_PI
     return 1.05 * max(floor, mc_floor)
 
 
 def _cmd_oracle(args) -> int:
     spectrum = _load_spectrum(args.spectrum)
     spec = _sequence_from_args(args)
-    omega_max = spectrum.extent()
-    rate = args.sample_rate or _oracle_sample_rate(spec, omega_max)
+    rate = args.sample_rate or _oracle_sample_rate(spec, spectrum.extent())
     trace = build_trace(spec, rate)
     cfg = McConfig(n_realizations=args.n_realizations, seed=args.seed,
                    spectral_components=args.modes)

@@ -8,9 +8,18 @@ modes with random phases,
 accumulates the phase phi = integral beta(t) s(t) dt by the midpoint rule
 on the trace's sample grid, and averages cos(phi).  For Gaussian phases the
 coherence is exp(-<phi^2>/2), so both the direct average and the
-second-moment estimator are reported.  The quadrature sum is evaluated as
-two matrix products (weights x mode kernels, then kernels x random phases),
-which reorders but does not change the per-realization estimator.
+second-moment estimator are reported.
+
+The modes span (0, omega_max], by default the whole band the trace
+resolves, 2 pi / (oversample dt).  The midpoint sums over the trace are
+taken one run of equal samples at a time: a run of m samples centred at c
+contributes D_m(omega) cos(omega c) (sin for the quadrature part), with the
+Dirichlet factor D_m = sin(m omega dt / 2) / sin(omega dt / 2), so a pulsed
+trace costs modes x segments rather than modes x samples.  Per realization
+the phase is then phi = sum_k r_k cos(theta_k + psi_k) with
+r_k = A_k |I_k| and psi_k = arg I_k: one cosine per mode, evaluated for a
+block of realizations at once.  ``McResult.work`` counts realizations x
+modes plus modes x runs, the quantity ``McConfig.budget`` caps.
 """
 
 from __future__ import annotations
@@ -25,15 +34,20 @@ from .noise import NoiseSpectrum
 from .sequences import SensitivityTrace
 
 _TWO_PI = 2.0 * math.pi
+# working-set size of one block in the mode-integral and realization kernels
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo controls.
 
-    ``omega_max`` defaults to the spectrum extent; the trace must resolve it
-    by at least the ``oversample`` margin.  ``budget`` caps realizations x
-    time steps to keep accidental huge runs from stalling a session.
+    ``omega_max`` defaults to the band the trace resolves,
+    2 pi / (``oversample`` x trace spacing); the spectrum extent must lie
+    inside it.  An explicit ``omega_max`` must itself be resolved by the
+    ``oversample`` margin.  ``budget`` caps the work done, realizations x
+    modes plus modes x constant runs of the trace (``McResult.work``), to
+    keep accidental huge runs from stalling the caller.
     """
 
     n_realizations: int = 10_000
@@ -65,6 +79,7 @@ class McResult:
     seed: int
     n_modes: int
     omega_max: float
+    work: int                      # realizations x modes + modes x runs
 
     def to_dict(self) -> dict:
         return {
@@ -77,21 +92,41 @@ class McResult:
             "seed": self.seed,
             "n_modes": self.n_modes,
             "omega_max": self.omega_max,
+            "work": self.work,
         }
 
 
-def _mode_integrals(trace: SensitivityTrace, omegas: np.ndarray):
+def _constant_runs(values: np.ndarray):
+    """Start index and length of each run of equal samples."""
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return starts, np.diff(np.append(starts, values.size))
+
+
+def _mode_integrals(trace: SensitivityTrace, runs, omegas: np.ndarray):
+    """Midpoint sums dt * sum_j s_j (cos, sin)(omega t_j) for each omega.
+
+    Summed run by run in closed form; needs omega dt / 2 < pi, which the
+    resolution check in ``mc_coherence`` guarantees with a wide margin.
+    """
     # midpoint rule: traces sample interval centers, so uniform weights are
     # exact on each constant segment (end-halving would drop half a sample)
-    w = np.full(trace.times.size, trace.dt)
-    ws = w * trace.values
+    starts, lengths = runs
+    dt = trace.dt
+    centres = 0.5 * (trace.times[starts] + trace.times[starts + lengths - 1])
+    weights = dt * trace.values[starts]
+    # the Dirichlet factor depends on the run only through its length
+    distinct, which = np.unique(lengths, return_inverse=True)
     ic = np.empty(omegas.size)
     is_ = np.empty(omegas.size)
-    for start in range(0, omegas.size, 128):
-        block = omegas[start:start + 128]
-        arg = np.outer(block, trace.times)
-        ic[start:start + 128] = np.cos(arg) @ ws
-        is_[start:start + 128] = np.sin(arg) @ ws
+    rows = max(1, _BLOCK_BYTES // (8 * starts.size))
+    for start in range(0, omegas.size, rows):
+        block = omegas[start:start + rows]
+        half = 0.5 * dt * block
+        dirichlet = (np.sin(np.outer(half, distinct))
+                     / np.sin(half)[:, None])[:, which]
+        arg = np.outer(block, centres)
+        ic[start:start + rows] = (np.cos(arg) * dirichlet) @ weights
+        is_[start:start + rows] = (np.sin(arg) * dirichlet) @ weights
     return ic, is_
 
 
@@ -103,30 +138,50 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
     come from an independent counter-derived stream, so chunked or serial
     evaluation gives identical results.
     """
-    omega_max = cfg.omega_max if cfg.omega_max is not None else spectrum.extent()
-    if omega_max <= 0.0:
-        raise ValidationError("spectrum extent is zero; give omega_max explicitly")
     dt = trace.dt
-    if dt * omega_max > _TWO_PI / cfg.oversample:
+    # the trace must resolve the requested band or, when the band defaults
+    # to the resolved one, the spectrum's own extent
+    if cfg.omega_max is None:
+        needed, omega_max = spectrum.extent(), _TWO_PI / (cfg.oversample * dt)
+    else:
+        needed = omega_max = cfg.omega_max
+    if dt * needed > _TWO_PI / cfg.oversample:
         raise ValidationError(
-            f"trace spacing {dt:.3e} s cannot resolve omega_max {omega_max:.3e} "
+            f"trace spacing {dt:.3e} s cannot resolve omega_max {needed:.3e} "
             f"rad/s with a {cfg.oversample:g}x margin")
-    if cfg.n_realizations * trace.times.size > cfg.budget:
-        raise ValidationError("realizations x steps exceeds the configured budget")
-
     k = cfg.spectral_components
+    n = cfg.n_realizations
+    runs = _constant_runs(trace.values)
+    work = n * k + k * int(runs[0].size)
+    if work > cfg.budget:
+        raise ValidationError(
+            f"work of {work} (realizations x modes + modes x runs) exceeds "
+            f"the configured budget {cfg.budget}")
+
     d_omega = omega_max / k
     omegas = (np.arange(k) + 0.5) * d_omega
     amps = np.sqrt(2.0 * spectrum.eval(omegas) * d_omega / math.pi)
-    ic, is_ = _mode_integrals(trace, omegas)
+    ic, is_ = _mode_integrals(trace, runs, omegas)
     u = amps * ic
     v = amps * is_
+    # u cos(theta) - v sin(theta) = r cos(theta + psi)
+    r = np.hypot(u, v)
+    psi = np.arctan2(v, u)
 
-    n = cfg.n_realizations
     phis = np.empty(n)
-    for i in range(n):
-        theta = np.random.default_rng([int(cfg.seed), i]).uniform(0.0, _TWO_PI, k)
-        phis[i] = u @ np.cos(theta) - v @ np.sin(theta)
+    rows = max(1, _BLOCK_BYTES // (8 * k))
+    block = np.empty((rows, k))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for j, i in enumerate(range(start, stop)):
+            block[j] = np.random.default_rng([int(cfg.seed), i]).uniform(
+                0.0, _TWO_PI, k)
+        theta = block[:stop - start]
+        theta += psi
+        np.cos(theta, out=theta)
+        # einsum keeps the product on this thread: a threaded BLAS call per
+        # block only leaves its workers spinning through the next RNG fill
+        phis[start:stop] = np.einsum("ij,j->i", theta, r)
 
     cos_phi = np.cos(phis)
     phi_sq = phis * phis
@@ -141,4 +196,5 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
         seed=int(cfg.seed),
         n_modes=k,
         omega_max=float(omega_max),
+        work=work,
     )

@@ -270,6 +270,20 @@ def test_cli_missing_curve_file_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("token", [
+    "1e-5:1e-3:4:foo", "x:1e-3:4", "1e-5:y:4", "1e-5:1e-3:z",
+    "1e-5:1e-3:2.5", "nan:1e-3:4", "1e-5:inf:4", "1e-5:1e-3",
+])
+def test_cli_malformed_grid_exits_3(tmp_path, capsys, token):
+    rc = cli_main(["synth", "--spectrum", "zero", "--family", "cpmg",
+                   "--n-list", "2", "--times", token,
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_bad_usage_exits_2():
     with pytest.raises(SystemExit) as err:
         cli_main(["ff", "--family", "not-a-family"])

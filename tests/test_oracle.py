@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisespec import (
     McConfig,
+    SensitivityTrace,
     SequenceSpec,
     ValidationError,
     build_trace,
@@ -15,13 +17,22 @@ from noisespec import (
     mc_coherence,
     tabulated,
 )
+from noisespec.oracle import _constant_runs, _mode_integrals
 
-# Frozen reference run: composite bath, CPMG-4 over 20 us, 512 modes,
-# 400 realizations, seed 1.  Guards the sampling conventions (one-sided
-# spectral density, midpoint mode placement, counter-seeded streams).
-_REF_COHERENCE = 0.69968614304856547
-_REF_CHI_EST = 0.36228090148960762
-_REF_CHI_EXP = 0.38705137311503024
+# Frozen reference run: composite bath, CPMG-4 over 20 us, 512 modes over
+# the band the trace resolves, 400 realizations, seed 1.  Guards the
+# sampling conventions (one-sided spectral density, midpoint mode
+# placement, counter-seeded streams).
+_REF_COHERENCE = 0.6773180970553131
+_REF_CHI_EST = 0.3957438598253013
+_REF_CHI_EXP = 0.3873009624797149
+
+# The same run with the modes stopping at the spectrum extent, frozen from
+# the dense kernel with one realization at a time.  The run-sum kernel
+# reorders the float64 sums, so these hold to rounding, not bitwise.
+_EXTENT_COHERENCE = 0.69968614304856547
+_EXTENT_CHI_EST = 0.36228090148960762
+_EXTENT_CHI_EXP = 0.38705137311503024
 
 
 def _flat(level: float, top: float):
@@ -48,6 +59,53 @@ def test_flat_spectrum_chi_convention():
     assert abs(result.chi_estimate - result.chi_expected) <= 3.0 * result.chi_stderr
 
 
+def _dense_mode_integrals(trace, omegas):
+    # reference: the midpoint sums over every sample, in blocks of modes
+    ws = trace.dt * trace.values
+    ic = np.empty(omegas.size)
+    is_ = np.empty(omegas.size)
+    for start in range(0, omegas.size, 128):
+        arg = np.outer(omegas[start:start + 128], trace.times)
+        ic[start:start + 128] = np.cos(arg) @ ws
+        is_[start:start + 128] = np.sin(arg) @ ws
+    return ic, is_
+
+
+def _serial_mc(spectrum, trace, cfg):
+    # reference: dense mode integrals, then one realization at a time with
+    # a cosine and a sine per mode
+    k, n = cfg.spectral_components, cfg.n_realizations
+    d_omega = cfg.omega_max / k
+    omegas = (np.arange(k) + 0.5) * d_omega
+    amps = np.sqrt(2.0 * spectrum.eval(omegas) * d_omega / math.pi)
+    ic, is_ = _dense_mode_integrals(trace, omegas)
+    u, v = amps * ic, amps * is_
+    phis = np.empty(n)
+    for i in range(n):
+        theta = np.random.default_rng([cfg.seed, i]).uniform(0.0, 2.0 * math.pi, k)
+        phis[i] = u @ np.cos(theta) - v @ np.sin(theta)
+    cos_phi, phi_sq = np.cos(phis), phis * phis
+    return {
+        "coherence": np.mean(cos_phi),
+        "stderr": np.std(cos_phi, ddof=1) / math.sqrt(n),
+        "chi_estimate": np.mean(phi_sq) / 2.0,
+        "chi_stderr": np.std(phi_sq, ddof=1) / (2.0 * math.sqrt(n)),
+        "chi_expected": 0.25 * amps @ (amps * (ic * ic + is_ * is_)),
+    }
+
+
+def _resolved_band(trace):
+    return 2.0 * math.pi / (10.0 * trace.dt)
+
+
+def _assert_run_sums_match_dense(trace, omegas):
+    runs = _constant_runs(trace.values)
+    scale = trace.dt * np.sum(np.abs(trace.values))
+    for got, want in zip(_mode_integrals(trace, runs, omegas),
+                         _dense_mode_integrals(trace, omegas)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 def test_reference_run_bitwise_frozen(bath):
     result = _ref_run(bath)
     assert result.coherence == _REF_COHERENCE
@@ -55,6 +113,63 @@ def test_reference_run_bitwise_frozen(bath):
     assert result.chi_expected == _REF_CHI_EXP
     assert result.n_realizations == 400
     assert result.n_modes == 512
+
+
+def test_extent_band_run_matches_the_serial_kernels(bath):
+    result = _ref_run(bath, omega_max=bath.extent())
+    assert result.coherence == pytest.approx(_EXTENT_COHERENCE, rel=1e-13, abs=0)
+    assert result.chi_estimate == pytest.approx(_EXTENT_CHI_EST, rel=1e-13, abs=0)
+    assert result.chi_expected == pytest.approx(_EXTENT_CHI_EXP, rel=1e-13, abs=0)
+
+
+def test_default_band_is_the_resolved_band(bath):
+    spec = SequenceSpec.cpmg(4, duration=2e-5)
+    trace = build_trace(spec, sample_rate=120.0 / 2e-5)
+    result = _ref_run(bath)
+    assert result.omega_max == _resolved_band(trace)
+    assert result.omega_max > bath.extent()
+
+
+@pytest.mark.parametrize("spec, rate", [
+    (SequenceSpec.cpmg(4, duration=2e-5), 6e6),
+    (SequenceSpec.cpmg(8, duration=2e-5), 9.6e6),
+    (SequenceSpec.hahn(1e-4), 1.2e8),
+    (SequenceSpec.dysco(2e-4, 8e4, quant_steps=8), 4e6),
+    (SequenceSpec.gdysco(2e-4, 5e4), 2e6),
+], ids=["cpmg4", "cpmg8", "hahn", "dysco-quantized", "gdysco"])
+def test_run_sums_match_dense_midpoint_sums(spec, rate):
+    trace = build_trace(spec, rate)
+    _assert_run_sums_match_dense(
+        trace, (np.arange(512) + 0.5) * _resolved_band(trace) / 512)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(min_value=1, max_value=500),
+                        min_size=1, max_size=12),
+       data=st.data(),
+       dt=st.floats(min_value=1e-9, max_value=1e-5),
+       fractions=st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                          min_size=1, max_size=16))
+def test_run_sums_match_dense_on_random_step_traces(lengths, data, dt, fractions):
+    levels = data.draw(st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                                min_size=len(lengths), max_size=len(lengths)))
+    values = np.repeat(levels, lengths)
+    if values.size < 2:
+        values = np.repeat(values, 2)
+    times = (np.arange(values.size) + 0.5) * dt
+    trace = SensitivityTrace(times, values, values.size * dt)
+    _assert_run_sums_match_dense(trace, np.array(fractions) * _resolved_band(trace))
+
+
+def test_batched_loop_matches_serial_loop_on_criterion_06_pair(bath):
+    seq = SequenceSpec.cpmg(8, duration=2e-5)
+    trace = build_trace(seq, 1.2 * max(20.0 / (2.0 * seq.tau_free),
+                                       10.0 * bath.extent() / (2.0 * math.pi)))
+    cfg = McConfig(n_realizations=10_000, seed=0, spectral_components=4096,
+                   omega_max=_resolved_band(trace))
+    result = mc_coherence(bath, trace, cfg).to_dict()
+    for key, want in _serial_mc(bath, trace, cfg).items():
+        assert result[key] == pytest.approx(want, rel=1e-13, abs=0), key
 
 
 def test_reference_run_matches_quadrature(bath):
@@ -100,7 +215,9 @@ def test_result_serializes(bath):
     assert payload["seed"] == 1
     assert set(payload) >= {"coherence", "stderr", "chi_estimate",
                             "chi_stderr", "chi_expected", "n_realizations",
-                            "n_modes", "omega_max"}
+                            "n_modes", "omega_max", "work"}
+    # CPMG-4 samples form 5 constant runs
+    assert payload["work"] == 400 * 512 + 512 * 5
 
 
 def test_config_validation():
@@ -117,6 +234,10 @@ def test_budget_guard(bath):
     trace = build_trace(spec, sample_rate=120.0 / 2e-5)
     cfg = McConfig(n_realizations=100_000_000, spectral_components=512)
     with pytest.raises(ValidationError):
+        mc_coherence(bath, trace, cfg)
+    # 120 samples but 2e6 x 2048 mode-realizations: the work is in the modes
+    cfg = McConfig(n_realizations=2_000_000, spectral_components=2048)
+    with pytest.raises(ValidationError, match="budget"):
         mc_coherence(bath, trace, cfg)
 
 
