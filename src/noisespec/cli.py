@@ -12,7 +12,6 @@ failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -108,7 +107,7 @@ def _load_spectrum(token: str) -> NoiseSpectrum:
     path = Path(token)
     if not path.exists():
         raise ValidationError(f"spectrum file does not exist: {path}")
-    return fileio.spectrum_model_from_dict(json.loads(path.read_text()))
+    return fileio.spectrum_model_from_dict(fileio.read_json(path))
 
 
 def _parse_grid(token: str, geometric: bool) -> np.ndarray:
@@ -256,7 +255,8 @@ def _cmd_oracle(args) -> int:
                    spectral_components=args.modes)
     result = mc_coherence(spectrum, trace, cfg)
     if spec.family.pulsed:
-        ff = _cpmg_ff_for(spectrum, spec.n_pulses, spec.duration)
+        ff = _cpmg_ff_for(spectrum, spec.n_pulses, spec.duration,
+                          args.rel_tol)
     else:
         ff = dysco_ff(spec)
     chi_quad, info = chi_detailed(spectrum, ff, rel_tol=args.rel_tol)
@@ -311,14 +311,21 @@ def _parse_initial(token: str) -> dict[str, float]:
                 "lorentz_sigma": 50e3}
     path = Path(token)
     if path.exists():
-        return {k: float(v) for k, v in json.loads(path.read_text()).items()}
-    out = {}
-    for pair in token.split(","):
-        key, _, value = pair.partition("=")
-        if not _:
-            raise ValidationError(f"bad --initial entry {pair!r}")
-        out[key.strip()] = float(value)
-    return out
+        data = fileio.read_json(path)
+        if not isinstance(data, dict):
+            raise ValidationError("--initial JSON must be an object")
+        pairs = list(data.items())
+    else:
+        pairs = []
+        for pair in token.split(","):
+            key, sep, value = pair.partition("=")
+            if not sep:
+                raise ValidationError(f"bad --initial entry {pair!r}")
+            pairs.append((key.strip(), value))
+    try:
+        return {k: float(v) for k, v in pairs}
+    except (TypeError, ValueError):
+        raise ValidationError("--initial values must be numbers") from None
 
 
 def _cmd_fit(args) -> int:
@@ -512,15 +519,19 @@ def _add_sequence_args_optional(p: argparse.ArgumentParser) -> None:
 
 
 def _preload_config(argv: list[str]) -> dict:
-    if "--config" not in argv:
+    # both "--config path" and "--config=path"; the last one wins, as in argparse
+    token = None
+    for i, arg in enumerate(argv):
+        if arg == "--config" and i + 1 < len(argv):
+            token = argv[i + 1]
+        elif arg.startswith("--config="):
+            token = arg.partition("=")[2]
+    if token is None:
         return {}
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return {}
-    path = Path(argv[idx + 1])
+    path = Path(token)
     if not path.exists():
         raise ValidationError(f"config file does not exist: {path}")
-    data = json.loads(path.read_text())
+    data = fileio.read_json(path)
     if not isinstance(data, dict):
         raise ValidationError("config JSON must be an object")
     return {k.replace("-", "_"): v for k, v in data.items()}

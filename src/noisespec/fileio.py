@@ -59,14 +59,15 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _jsonable(obj):
+    # strict JSON: every non-finite float, Python or numpy, becomes null
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -75,8 +76,19 @@ def _jsonable(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-                    + "\n")
+    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; an unreadable file or malformed content is a
+    ValidationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed JSON ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +119,7 @@ def read_curve(path: str | Path) -> CoherenceCurve:
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar: {meta_file}")
-    sidecar = json.loads(meta_file.read_text())
+    sidecar = read_json(meta_file)
     kind = AbscissaKind(sidecar["abscissa_kind"])
     xs, cs, us, _ = _read_rows(path, kind, drop_bad=False)
     prov = sidecar.get("provenance", {})
@@ -182,7 +194,7 @@ def ingest_curve(path: str | Path, schema: CurveSchema | str,
     kind = schema.abscissa_kind
     meta_file = _meta_path(path)
     if sequence is None and meta_file.exists():
-        sidecar = json.loads(meta_file.read_text())
+        sidecar = read_json(meta_file)
         sequence = SequenceSpec.from_dict(sidecar["sequence"])
         swept = swept or sidecar.get("swept")
     if sequence is None:
@@ -250,13 +262,16 @@ def read_spectrum_csv(path: str | Path):
         iu = cols.index("uncertainty_rad_s") if "uncertainty_rad_s" in cols else None
         ifl = cols.index("flag") if "flag" in cols else None
         ws, vs, us, fs = [], [], [], []
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            ws.append(float(row[iw]))
-            vs.append(float(row[iv]))
-            us.append(float(row[iu]) if iu is not None else 0.0)
-            fs.append(int(row[ifl]) if ifl is not None else 0)
+            try:
+                ws.append(float(row[iw]))
+                vs.append(float(row[iv]))
+                us.append(float(row[iu]) if iu is not None else 0.0)
+                fs.append(int(row[ifl]) if ifl is not None else 0)
+            except (ValueError, IndexError):
+                raise ValidationError(f"{path}:{lineno}: bad or missing cell") from None
     if not ws:
         raise ValidationError(f"{path}: no data rows")
     return (np.asarray(ws), np.asarray(vs), np.asarray(us),
@@ -289,23 +304,30 @@ def spectrum_model_to_dict(spectrum: NoiseSpectrum) -> dict:
 
 
 def spectrum_model_from_dict(data: dict) -> NoiseSpectrum:
-    factor = float(data.get("power_factor", 1.0))
-    if "table" in data:
-        t = data["table"]
-        base = tabulated(np.asarray(t["omegas"], dtype=float),
-                         np.asarray(t["values"], dtype=float))
-    elif "components" in data:
-        comps = tuple(
-            SpectralComponent(kind=ComponentKind(c["kind"]),
-                              delta=float(c["delta"]),
-                              sigma=float(c["sigma"]),
-                              omega_center=(float(c["omega_center"])
-                                            if "omega_center" in c else None))
-            for c in data["components"])
-        base = NoiseSpectrum(components=comps)
-    else:
-        raise ValidationError("spectrum dict needs 'components' or 'table'")
-    return base.scaled(factor) if factor != 1.0 else base
+    if not isinstance(data, dict):
+        raise ValidationError("spectrum model must be a JSON object")
+    try:
+        factor = float(data.get("power_factor", 1.0))
+        if "table" in data:
+            t = data["table"]
+            base = tabulated(np.asarray(t["omegas"], dtype=float),
+                             np.asarray(t["values"], dtype=float))
+        elif "components" in data:
+            comps = tuple(
+                SpectralComponent(kind=ComponentKind(c["kind"]),
+                                  delta=float(c["delta"]),
+                                  sigma=float(c["sigma"]),
+                                  omega_center=(float(c["omega_center"])
+                                                if "omega_center" in c else None))
+                for c in data["components"])
+            base = NoiseSpectrum(components=comps)
+        else:
+            raise ValidationError("spectrum dict needs 'components' or 'table'")
+        return base.scaled(factor) if factor != 1.0 else base
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed spectrum model ({exc!r})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +336,7 @@ def spectrum_model_from_dict(data: dict) -> NoiseSpectrum:
 
 def config_digest(config: dict) -> str:
     canon = json.dumps(_jsonable(config), sort_keys=True,
-                       separators=(",", ":"))
+                       separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

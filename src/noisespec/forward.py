@@ -112,18 +112,18 @@ def _refine_trapezoid(fun, x0: np.ndarray, rel_tol: float,
         scale = max(abs(total), 1e-300)
         err_sum = float(np.sum(err))
         if err_sum <= rel_tol * scale:
-            return total, err_sum / scale
+            return total, err_sum / scale, x.size + xm.size
         if x.size >= max_points:
             break
         keep = err > (rel_tol * scale) / max(err.size, 1)
         if not np.any(keep):
-            return total, err_sum / scale
+            return total, err_sum / scale, x.size + xm.size
         x = np.concatenate([x, xm[keep]])
         y = np.concatenate([y, ym[keep]])
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
     if err_sum <= 50.0 * rel_tol * scale:
-        return total, err_sum / scale
+        return total, err_sum / scale, x.size + xm.size
     raise NumericError(
         f"quadrature stalled at relative error {err_sum / scale:.2e} "
         f"(tolerance {rel_tol:.0e})")
@@ -137,7 +137,12 @@ def _tail_estimate(spectrum: NoiseSpectrum, ff: FilterFunction, hi: float) -> fl
 
 def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
                  rel_tol: float = 1e-4) -> tuple[float, dict]:
-    """Dephasing exponent and quadrature diagnostics."""
+    """Dephasing exponent and quadrature diagnostics.
+
+    The info dict holds the upper cutoff ``omega_max``, the achieved relative
+    error estimate ``rel_err``, the envelope ``tail_estimate`` past the
+    cutoff and ``nodes``, the abscissa count of the final composite rule.
+    """
     lo = float(ff.omegas[0])
     hi = float(ff.omegas[-1])
     extent = spectrum.extent()
@@ -166,7 +171,7 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
 
     hi_used = target_hi
     for _ in range(5):
-        value, achieved = _refine_trapezoid(integrand, grid, rel_tol)
+        value, achieved, nodes = _refine_trapezoid(integrand, grid, rel_tol)
         tail = _tail_estimate(spectrum, ff, hi_used)
         if tail <= 1e-3 * max(abs(value), 1e-300):
             break
@@ -181,7 +186,7 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
                            "extending the quadrature cutoff")
     chi_value = 0.5 * ff.duration * value
     return chi_value, {"omega_max": hi_used, "rel_err": achieved,
-                       "tail_estimate": tail}
+                       "tail_estimate": tail, "nodes": nodes}
 
 
 def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> float:
@@ -193,10 +198,54 @@ def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> f
 # synthetic curves
 # ---------------------------------------------------------------------------
 
-def _cpmg_ff_for(spectrum: NoiseSpectrum, n: int, t: float) -> FilterFunction:
-    # grid must resolve the filter comb across the whole spectral extent
-    z_max = max(40.0 * n, spectrum.extent() * t * 1.05)
-    return cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=min(z_max, 8e4)))
+# Node budget of a comb-resolving grid (~2e5 nodes).  The weight rule alone
+# would pass it on flat spectra, where the envelope tail falls only as
+# pi n / z (z ~ 3e4 n at rel_tol 1e-4).
+_COMB_Z_CAP = 8e4
+
+
+def _cpmg_ff_for(spectrum: NoiseSpectrum, n: int, t: float,
+                 rel_tol: float = 1e-4) -> FilterFunction:
+    # The comb grid ends at the smallest z = omega*t >= 40n past which the
+    # weight that can still reach chi, integral S * ff.tail_envelope, falls
+    # below rel_tol times the integral the 40n grid already covers; it never
+    # passes the power-extent rule min(extent*t*1.05, _COMB_Z_CAP).  The
+    # 1/omega^2 envelope makes this far shorter than the power extent of a
+    # heavy-tailed spectrum; chi_detailed's geometric extension and refine
+    # loop integrate what lies beyond.
+    z_floor = 40.0 * n
+    z_cap = min(max(z_floor, spectrum.extent() * t * 1.05), _COMB_Z_CAP)
+    ff = cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=min(z_floor, z_cap)))
+    if z_cap <= z_floor:
+        return ff
+    covered = float(np.trapezoid(spectrum.eval(ff.omegas) * ff.values, ff.omegas))
+    # geometric probe, 48 nodes per decade out to 50x the cap (as _tail_estimate)
+    w = np.geomspace(z_floor / t, 50.0 * z_cap / t,
+                     int(48 * math.log10(50.0 * z_cap / z_floor)) + 2)
+    g = spectrum.eval(w) * ff.tail_envelope(w)
+    pieces = 0.5 * np.diff(w) * (g[1:] + g[:-1])
+    beyond = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)   # weight past w[k]
+    z = min(float(w[np.argmax(beyond <= rel_tol * covered)]) * t, z_cap)
+    if z <= z_floor:
+        return ff
+    return cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=z))
+
+
+def _coherences(spectrum: NoiseSpectrum, ffs, rel_tol: float):
+    """exp(-chi) at each filter of ``ffs``, plus the curve's quadrature
+    diagnostics: the worst achieved ``rel_err``, the largest filter grid,
+    the total node count and the last point's ``omega_max``."""
+    cs, info = [], {}
+    rel_err_max, ff_grid_max, quad_nodes = 0.0, 0, 0
+    for ff in ffs:
+        value, info = chi_detailed(spectrum, ff, rel_tol)
+        cs.append(math.exp(-value))
+        rel_err_max = max(rel_err_max, info["rel_err"])
+        ff_grid_max = max(ff_grid_max, int(ff.omegas.size))
+        quad_nodes += info["nodes"]
+    return np.array(cs), {"rel_tol": rel_tol, "omega_max": info.get("omega_max"),
+                          "rel_err_max": rel_err_max, "ff_grid_max": ff_grid_max,
+                          "quad_nodes": quad_nodes}
 
 
 def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
@@ -247,19 +296,15 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
         times = np.sort(grids[n])
         if times.size == 0 or times[0] <= 0.0:
             raise ValidationError("time grids must be positive and non-empty")
-        cs = np.empty_like(times)
-        info: dict = {}
-        for i, t in enumerate(times):
-            value, info = chi_detailed(spectrum, _cpmg_ff_for(spectrum, n, t), rel_tol)
-            cs[i] = math.exp(-value)
+        cs, quad = _coherences(spectrum, (_cpmg_ff_for(spectrum, n, t, rel_tol)
+                                          for t in times), rel_tol)
         template = SequenceSpec.cpmg(n, duration=float(times[-1]))
         curves.append(CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME,
             xs=times, coherences=cs, uncertainties=np.zeros_like(times),
             sequence=template, swept="duration",
             provenance=Provenance("synthetic"),
-            metadata={"sampling": sampling.value, "rel_tol": rel_tol,
-                      "omega_max": info.get("omega_max")},
+            metadata={"sampling": sampling.value, **quad},
         ))
     return curves
 
@@ -272,18 +317,14 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
     fs = np.sort(np.asarray(f_grid, dtype=float))
     if fs.size == 0 or fs[0] <= 0.0:
         raise ValidationError("frequency grid must be positive and non-empty")
-    cs = np.empty_like(fs)
-    info: dict = {}
-    for i, f0 in enumerate(fs):
-        spec_i = replace(template, mod_frequency=float(f0))
-        value, info = chi_detailed(spectrum, dysco_ff(spec_i), rel_tol)
-        cs[i] = math.exp(-value)
+    cs, quad = _coherences(spectrum, (
+        dysco_ff(replace(template, mod_frequency=float(f0))) for f0 in fs), rel_tol)
     return CoherenceCurve(
         abscissa_kind=AbscissaKind.MOD_FREQUENCY,
         xs=fs, coherences=cs, uncertainties=np.zeros_like(fs),
         sequence=template, swept="mod_frequency",
         provenance=Provenance("synthetic"),
-        metadata={"rel_tol": rel_tol, "omega_max": info.get("omega_max")},
+        metadata=quad,
     )
 
 

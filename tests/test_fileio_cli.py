@@ -27,6 +27,7 @@ from noisespec import (
     write_reconstruction,
 )
 from noisespec.cli import main as cli_main
+from noisespec.fileio import write_json
 
 
 @pytest.fixture()
@@ -172,6 +173,36 @@ def test_tabulated_model_roundtrip():
     clone = spectrum_model_from_dict(spectrum_model_to_dict(spec.scaled(3.0)))
     w = np.linspace(0.0, 2e5, 21)
     assert np.array_equal(clone.eval(w), 3.0 * spec.eval(w))
+
+
+def test_read_spectrum_csv_rejects_bad_cells(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("omega_rad_s,s_rad_s,uncertainty_rad_s,flag\n"
+                    "1.0,2.0,0.1,0\n2.0,oops,0.1,0\n")
+    with pytest.raises(ValidationError, match=r"s\.csv:3"):
+        read_spectrum_csv(path)
+    path.write_text("omega_rad_s,s_rad_s,flag\n1.0,2.0\n")
+    with pytest.raises(ValidationError, match=r"s\.csv:2"):
+        read_spectrum_csv(path)
+
+
+def test_json_output_is_strict_with_null_for_non_finite(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"np_nan": np.float64(math.nan), "py_inf": math.inf,
+                      "np_ninf": np.float32(-math.inf),
+                      "arr": np.array([1.5, math.nan, math.inf]),
+                      "nested": [np.array([math.nan]), (math.nan, 2)],
+                      "finite": np.float64(0.1), "count": np.int64(3)})
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    data = json.loads(text, parse_constant=reject)
+    assert data == {"np_nan": None, "py_inf": None, "np_ninf": None,
+                    "arr": [1.5, None, None], "nested": [[None], [None, 2]],
+                    "finite": 0.1, "count": 3}
 
 
 def test_config_digest_is_order_independent():
@@ -337,3 +368,76 @@ def test_cli_reconstruct_direct_from_raw_table(tmp_path, bath):
     w, v, u, flags = read_spectrum_csv(tmp_path / "reconstruct_direct.csv")
     assert w.size == 20
     assert np.any(np.isfinite(v))
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("kind,message", [("truncated", "malformed JSON"),
+                                          ("directory", "cannot read")])
+def test_cli_malformed_spectrum_json_exits_3(tmp_path, capsys, kind, message):
+    bad = tmp_path / "bath.json"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_text('{"components": [')
+    rc = cli_main(["synth", "--spectrum", str(bad), "--family", "cpmg",
+                   "--n-list", "2", "--times", "1e-5:1e-4:3",
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert message in _one_line_error(capsys)
+
+
+def test_cli_spectrum_json_of_wrong_shape_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bath.json"
+    bad.write_text('{"components": [{"kind": "lorentzian_dc", "delta": 1.0}]}')
+    rc = cli_main(["synth", "--spectrum", str(bad), "--family", "cpmg",
+                   "--n-list", "2", "--times", "1e-5:1e-4:3",
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "malformed spectrum model" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("form", ["separate", "equals"])
+def test_cli_malformed_config_json_exits_3(tmp_path, capsys, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{outdir: nope}")
+    flag = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                   *flag])
+    assert rc == 3
+    assert "malformed JSON" in _one_line_error(capsys)
+
+
+def test_cli_config_with_equals_sign_sets_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"outdir": str(tmp_path / "from_cfg")}))
+    rc = cli_main(["ff", "--family", "cpmg", "--n", "2",
+                   "--duration", "1e-4", f"--config={cfg}"])
+    assert rc == 0
+    assert (tmp_path / "from_cfg" / "ff_cpmg.csv").exists()
+
+
+def test_cli_peak_fit_on_bad_spectrum_cell_exits_3(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("omega_rad_s,s_rad_s\n1.0,2.0\n2.0,x\n")
+    rc = cli_main(["fit", "--mode", "peak", "--curves", str(path),
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "s.csv:3" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("initial", ["gauss_delta=abc", "list.json"])
+def test_cli_malformed_initial_guess_exits_3(tmp_path, capsys, small_curve,
+                                             initial):
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    token = str(tmp_path / initial) if initial.endswith(".json") else initial
+    rc = cli_main(["fit", "--mode", "noise", "--curves", str(path),
+                   "--initial", token, "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "--initial" in _one_line_error(capsys)

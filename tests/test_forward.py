@@ -1,9 +1,11 @@
 """Forward model: decay exponents, synthetic curves, measurement noise."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisespec import (
     AbscissaKind,
@@ -15,14 +17,18 @@ from noisespec import (
     add_measurement_noise,
     chi,
     chi_detailed,
+    composite,
     cpmg_ff,
+    default_cpmg_omegas,
     gaussian_peak,
     lorentzian_dc,
     peak_stats,
     synth_cpmg_family,
     synth_dysco_sweep,
     tabulated,
+    write_curve,
 )
+from noisespec.forward import _cpmg_ff_for
 
 
 def _flat_spectrum(level: float, top: float = 1e9):
@@ -74,6 +80,98 @@ def test_chi_detailed_reports_coverage():
     assert info["rel_err"] <= 1e-3
 
 
+def test_chi_detailed_counts_quadrature_nodes(bath):
+    ff = cpmg_ff(4, 2e-5)
+    _, info = chi_detailed(bath, ff)
+    # the final rule holds every filter node plus the interval midpoints
+    assert info["nodes"] >= 2 * ff.omegas.size - 1
+    assert info["nodes"] % 2 == 1
+
+
+# --------------------------------------------------------------------------
+# Exact time-domain reference: CPMG under Lorentzian (Ornstein-Uhlenbeck)
+# noise, whose correlation function is (delta^2 / 2 pi) e^{-sigma |tau|}
+
+
+def _ou_cpmg_chi(n, t, delta, sigma):
+    """chi = 1/2 sum_ab v_a v_b int_a int_b (delta^2/2pi) e^{-sigma|t1-t2|}.
+
+    The sensitivity flips sign at the pulses t (k - 1/2) / n; each pair of
+    constant segments is integrated in closed form.
+    """
+    edges = np.concatenate([[0.0], (np.arange(1, n + 1) - 0.5) * t / n, [t]])
+    signs = (-1.0) ** np.arange(n + 1)
+    x = sigma * np.diff(edges)
+    # a segment with itself: 2 (x - 1 + e^-x) / sigma^2
+    same = 2.0 * (x + np.expm1(-x)) / sigma ** 2
+    # segment a before segment b: e^{-sigma gap} (1 - e^-x_a)(1 - e^-x_b) / sigma^2
+    gap = edges[None, :-1] - edges[1:, None]
+    rise = -np.expm1(-x)
+    cross = np.triu(np.exp(-sigma * np.maximum(gap, 0.0))
+                    * np.outer(rise, rise), 1) / sigma ** 2
+    total = np.sum(same) + 2.0 * signs @ cross @ signs
+    return delta ** 2 / (4.0 * math.pi) * total
+
+
+def test_ou_reference_matches_direct_double_integral():
+    n, t, delta, sigma = 2, 1e-4, 1e4, 3e4
+    m = 1600
+    tm = (np.arange(m) + 0.5) * t / m
+    s = np.where(np.floor(tm * n / t + 0.5) % 2 == 0, 1.0, -1.0)
+    kernel = np.exp(-sigma * np.abs(tm[:, None] - tm[None, :]))
+    direct = 0.5 * delta ** 2 / (2.0 * math.pi) * (t / m) ** 2 * (s @ kernel @ s)
+    assert _ou_cpmg_chi(n, t, delta, sigma) == pytest.approx(direct, rel=1e-4)
+
+
+@pytest.mark.parametrize("sigma", [2e4, 6.3e4, 2e5])
+def test_cpmg_synthesis_matches_exact_ou_chi(sigma):
+    delta = 0.1 * sigma          # chi <= ~1, so exp(-chi) keeps its digits
+    bath = lorentzian_dc(delta, sigma)
+    n_list = [1, 2, 4, 8, 16, 64]
+    times = np.geomspace(3e-5, 3e-3, 7)
+    if sigma > 5e4:
+        # the power extent reaches past z = 8e4 on the longest traces
+        assert bath.extent() * times[-1] > 8e4
+    curves = synth_cpmg_family(bath, n_list, time_grid_per_n=[times] * 6)
+    for n, curve in zip(n_list, curves):
+        exact = np.array([_ou_cpmg_chi(n, t, delta, sigma) for t in times])
+        rel = np.abs(-np.log(curve.coherences) / exact - 1.0)
+        assert np.max(rel) <= 1e-4, (n, times[np.argmax(rel)], np.max(rel))
+
+
+def _power_extent_z(spectrum, n, t):
+    # the power-extent rule: resolve the comb out to the spectrum's extent
+    return min(max(40.0 * n, spectrum.extent() * t * 1.05), 8e4)
+
+
+def test_heavy_tail_grid_stops_at_the_weight_that_reaches_chi():
+    sigma, n, t = 2e5, 8, 3e-3
+    bath = lorentzian_dc(0.1 * sigma, sigma)
+    ff = _cpmg_ff_for(bath, n, t, 1e-4)
+    full = default_cpmg_omegas(n, t, z_max=_power_extent_z(bath, n, t))
+    assert ff.omegas.size < 0.05 * full.size
+    value = chi(bath, ff)
+    assert value == pytest.approx(_ou_cpmg_chi(n, t, 0.1 * sigma, sigma), rel=1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=64),
+       log_t=st.floats(min_value=-6.0, max_value=-2.0),
+       log_sigma=st.floats(min_value=3.0, max_value=6.5),
+       line=st.booleans(),
+       rel_tol=st.sampled_from([1e-3, 1e-4, 1e-6]))
+def test_weight_sized_grid_never_exceeds_the_power_extent_rule(
+        n, log_t, log_sigma, line, rel_tol):
+    t, sigma = 10.0 ** log_t, 10.0 ** log_sigma
+    bath = composite(5.0 * sigma, 0.1 * sigma, 8.0 * sigma, sigma, sigma) \
+        if line else lorentzian_dc(2.0 * sigma, sigma)
+    z_parent = _power_extent_z(bath, n, t)
+    ff = _cpmg_ff_for(bath, n, t, rel_tol)
+    assert ff.omegas.size <= default_cpmg_omegas(n, t, z_max=z_parent).size
+    # the comb is always resolved out to 40 n (or the whole extent, if less)
+    assert ff.omegas[-1] * t >= min(40.0 * n, z_parent) - math.pi / 8.0
+
+
 # --------------------------------------------------------------------------
 # Synthetic curve generation
 
@@ -110,6 +208,24 @@ def test_coherence_revives_at_full_line_periods(bath):
     # Decay is non-monotone: the later full-period point recovers coherence.
     assert t_rev > t_half
     assert c_rev > c_half + 0.2
+
+
+def test_curves_carry_quadrature_diagnostics(tmp_path, bath):
+    times = np.geomspace(1e-5, 2e-4, 4)
+    (curve,) = synth_cpmg_family(bath, [4], time_grid_per_n=[times])
+    infos = [chi_detailed(bath, _cpmg_ff_for(bath, 4, t))[1] for t in times]
+    grids = [_cpmg_ff_for(bath, 4, t).omegas.size for t in times]
+    meta = curve.metadata
+    assert meta["rel_err_max"] == max(i["rel_err"] for i in infos) <= 1e-4
+    assert meta["ff_grid_max"] == max(grids)
+    assert meta["quad_nodes"] == sum(i["nodes"] for i in infos)
+    assert meta["omega_max"] == infos[-1]["omega_max"]
+    sweep = synth_dysco_sweep(bath, SequenceSpec.dysco(2e-4, 1e5), [3e4, 6e4])
+    assert sweep.metadata["ff_grid_max"] == 2000
+    assert sweep.metadata["quad_nodes"] > 2 * 2000
+    write_curve(curve, tmp_path / "c.csv")
+    sidecar = json.loads((tmp_path / "c.meta.json").read_text())["metadata"]
+    assert {"rel_err_max", "ff_grid_max", "quad_nodes"} <= set(sidecar)
 
 
 def test_revival_sampling_needs_a_line():
