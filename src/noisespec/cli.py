@@ -22,9 +22,9 @@ import numpy as np
 
 from . import fileio
 from .errors import NumericError, ValidationError
-from .filters import cpmg_ff, dysco_ff, peak_stats
+from .filters import peak_stats
 from .forward import AbscissaKind, Sampling, add_measurement_noise, chi_detailed, \
-    synth_cpmg_family, synth_dysco_sweep, _cpmg_ff_for
+    filter_for, synth_cpmg_family, synth_dysco_sweep
 from .noise import NoiseSpectrum, default_experiment_spectrum, tabulated
 from .oracle import McConfig, mc_coherence
 from .reconstruct import Method, ReconstructedSpectrum, cpmg_sd, direct_extract
@@ -52,8 +52,8 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
-def _add_sequence_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
+def _add_sequence_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--family", required=required,
                    choices=[f.value for f in Family])
     p.add_argument("--n", type=int, default=None, help="pulse count")
     p.add_argument("--duration", type=float, default=None,
@@ -93,12 +93,6 @@ def _sequence_from_args(args) -> SequenceSpec:
                                amplitude=args.amplitude)
 
 
-def _ff_for_sequence(spec: SequenceSpec):
-    if spec.family.pulsed:
-        return cpmg_ff(spec.n_pulses, spec.duration)
-    return dysco_ff(spec)
-
-
 def _load_spectrum(token: str) -> NoiseSpectrum:
     if token == "default":
         return default_experiment_spectrum()
@@ -129,6 +123,16 @@ def _parse_grid(token: str, geometric: bool) -> np.ndarray:
     return np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
 
 
+def _parse_ints(token, flag: str) -> list[int]:
+    usage = f"{flag} must be comma-separated integers, got {token!r}"
+    if not isinstance(token, str):
+        raise ValidationError(usage)
+    try:
+        return [int(tok) for tok in token.split(",")]
+    except ValueError:
+        raise ValidationError(usage) from None
+
+
 def _outdir(args) -> Path:
     root = args.outdir or os.environ.get("NOISESPEC_OUTDIR") or "."
     out = Path(root)
@@ -136,7 +140,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def _emit(args, path: Path) -> Path:
+def _emit(path: Path) -> Path:
     print(path)
     return path
 
@@ -154,7 +158,7 @@ def _finish(args, outputs: list[Path], inputs: list[str] | None = None,
         seed=getattr(args, "seed", None),
         inputs=inputs or [],
         outputs=[p.name for p in outputs])   # keep runs relocatable
-    _emit(args, manifest)
+    _emit(manifest)
     return 0
 
 
@@ -164,16 +168,16 @@ def _finish(args, outputs: list[Path], inputs: list[str] | None = None,
 
 def _cmd_ff(args) -> int:
     spec = _sequence_from_args(args)
-    ff = _ff_for_sequence(spec)
+    ff = filter_for(spec)
     stats = peak_stats(ff)
     out = _outdir(args)
     prefix = args.out or f"ff_{spec.family.value}"
-    csv_path = _emit(args, fileio.write_ff_csv(ff, out / f"{prefix}.csv"))
+    csv_path = _emit(fileio.write_ff_csv(ff, out / f"{prefix}.csv"))
     payload = asdict(stats)
     payload["units"] = {"f0": "Hz", "fwhm": "Hz", "harmonic_frequencies": "Hz"}
     json_path = out / f"{prefix}_stats.json"
     fileio.write_json(json_path, payload)
-    _emit(args, json_path)
+    _emit(json_path)
     return _finish(args, [csv_path, json_path], prefix=prefix)
 
 
@@ -187,7 +191,7 @@ def _cmd_bandwidth(args) -> int:
     payload = asdict(report)
     payload["units"] = {"f_min": "Hz", "f_max": "Hz", "fwhm": "Hz"}
     fileio.write_json(path, payload)
-    _emit(args, path)
+    _emit(path)
     return _finish(args, [path], prefix=prefix)
 
 
@@ -198,12 +202,10 @@ def _cmd_synth(args) -> int:
     family = Family(args.family)
     outputs: list[Path] = []
     if family in (Family.CPMG, Family.HAHN):
-        n_list = [int(tok) for tok in args.n_list.split(",")] \
+        n_list = _parse_ints(args.n_list, "--n-list") \
             if args.n_list else [args.n or 1]
         if args.revivals:
-            orders = None
-            if args.orders:
-                orders = [int(tok) for tok in args.orders.split(",")]
+            orders = _parse_ints(args.orders, "--orders") if args.orders else None
             curves = synth_cpmg_family(spectrum, n_list,
                                        sampling=Sampling.REVIVALS_ONLY,
                                        revival_orders=orders,
@@ -230,7 +232,7 @@ def _cmd_synth(args) -> int:
         if args.epsilon > 0.0:
             curve = add_measurement_noise(curve, args.epsilon,
                                           args.seed + i)
-        outputs.append(_emit(args, fileio.write_curve(curve, out / name)))
+        outputs.append(_emit(fileio.write_curve(curve, out / name)))
     return _finish(args, outputs, prefix=prefix)
 
 
@@ -254,11 +256,7 @@ def _cmd_oracle(args) -> int:
     cfg = McConfig(n_realizations=args.n_realizations, seed=args.seed,
                    spectral_components=args.modes)
     result = mc_coherence(spectrum, trace, cfg)
-    if spec.family.pulsed:
-        ff = _cpmg_ff_for(spectrum, spec.n_pulses, spec.duration,
-                          args.rel_tol)
-    else:
-        ff = dysco_ff(spec)
+    ff = filter_for(spec, spectrum, args.rel_tol)
     chi_quad, info = chi_detailed(spectrum, ff, rel_tol=args.rel_tol)
     scale = max(abs(chi_quad), 1e-300)
     rel_diff = abs(result.chi_estimate - chi_quad) / scale
@@ -275,7 +273,7 @@ def _cmd_oracle(args) -> int:
         "agrees_2pct_3se": bool(agrees),
         "sample_rate": rate,
     })
-    _emit(args, path)
+    _emit(path)
     return _finish(args, [path], prefix=prefix)
 
 
@@ -300,7 +298,7 @@ def _cmd_reconstruct(args) -> int:
         recon = direct_extract(curves[0])
     out = _outdir(args)
     prefix = args.out or f"reconstruct_{args.mode}"
-    path = _emit(args, fileio.write_reconstruction(recon, out / f"{prefix}.csv"))
+    path = _emit(fileio.write_reconstruction(recon, out / f"{prefix}.csv"))
     return _finish(args, [path], inputs=args.curves, prefix=prefix)
 
 
@@ -369,7 +367,7 @@ def _cmd_fit(args) -> int:
         "iterations": result.iterations,
         "metadata": result.metadata,
     })
-    _emit(args, path)
+    _emit(path)
     return _finish(args, [path], inputs=list(args.curves), prefix=prefix)
 
 
@@ -383,18 +381,18 @@ def _cmd_roundtrip(args) -> int:
                             seeds=[args.seed], duration=args.duration,
                             rel_tol=args.rel_tol)
         for name, recon in sorted(result.reconstructions.items()):
-            outputs.append(_emit(args, fileio.write_reconstruction(
+            outputs.append(_emit(fileio.write_reconstruction(
                 recon, out / f"{prefix}_{name}.csv")))
         payload = result.to_dict()
         widths = {m.method: m.width_hz for m in result.methods()}
         payload["width_ordering"] = sorted(widths, key=widths.get)
         metrics = out / f"{prefix}_metrics.json"
         fileio.write_json(metrics, payload)
-        outputs.append(_emit(args, metrics))
+        outputs.append(_emit(metrics))
     else:
         result = sd_study(spectrum, epsilon=args.epsilon, seed=args.seed,
                           bin_count=args.bins, rel_tol=args.rel_tol)
-        outputs.append(_emit(args, fileio.write_reconstruction(
+        outputs.append(_emit(fileio.write_reconstruction(
             result.reconstruction, out / f"{prefix}_sd.csv")))
         metrics = out / f"{prefix}_metrics.json"
         fileio.write_json(metrics, {
@@ -402,7 +400,7 @@ def _cmd_roundtrip(args) -> int:
             "central_band_rad_s": list(result.central_band),
             "n_compared": result.n_compared,
         })
-        outputs.append(_emit(args, metrics))
+        outputs.append(_emit(metrics))
     return _finish(args, outputs, prefix=prefix)
 
 
@@ -471,7 +469,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_rec.add_argument("--schema", default=None,
                        choices=["time_csv", "freq_csv"],
                        help="ingest raw CSVs instead of sidecar curves")
-    _add_sequence_args_optional(p_rec)
+    _add_sequence_args(p_rec, required=False)
     p_rec.add_argument("--out", default=None)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
@@ -485,7 +483,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_fit.add_argument("--max-iterations", type=int, default=2000)
     p_fit.add_argument("--schema", default=None,
                        choices=["time_csv", "freq_csv"])
-    _add_sequence_args_optional(p_fit)
+    _add_sequence_args(p_fit, required=False)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -504,18 +502,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         for action in sub.choices.values():
             action.set_defaults(**{k: v for k, v in defaults.items()})
     return parser
-
-
-def _add_sequence_args_optional(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default=None,
-                   choices=[f.value for f in Family])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--f0", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--quant-steps", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=1.0)
 
 
 def _preload_config(argv: list[str]) -> dict:

@@ -120,17 +120,21 @@ def read_curve(path: str | Path) -> CoherenceCurve:
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar: {meta_file}")
     sidecar = read_json(meta_file)
-    kind = AbscissaKind(sidecar["abscissa_kind"])
+    try:
+        kind = AbscissaKind(sidecar["abscissa_kind"])
+        sequence = SequenceSpec.from_dict(sidecar["sequence"])
+        prov = sidecar.get("provenance", {})
+        provenance = Provenance(kind=prov.get("kind", "ingested"),
+                                seed=prov.get("seed"), path=prov.get("path"))
+        swept, metadata = sidecar["swept"], sidecar.get("metadata", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
     xs, cs, us, _ = _read_rows(path, kind, drop_bad=False)
-    prov = sidecar.get("provenance", {})
     return CoherenceCurve(
         abscissa_kind=kind,
         xs=xs, coherences=cs, uncertainties=us,
-        sequence=SequenceSpec.from_dict(sidecar["sequence"]),
-        swept=sidecar["swept"],
-        provenance=Provenance(kind=prov.get("kind", "ingested"),
-                              seed=prov.get("seed"), path=prov.get("path")),
-        metadata=sidecar.get("metadata", {}),
+        sequence=sequence, swept=swept, provenance=provenance,
+        metadata=metadata,
     )
 
 
@@ -195,8 +199,11 @@ def ingest_curve(path: str | Path, schema: CurveSchema | str,
     meta_file = _meta_path(path)
     if sequence is None and meta_file.exists():
         sidecar = read_json(meta_file)
-        sequence = SequenceSpec.from_dict(sidecar["sequence"])
-        swept = swept or sidecar.get("swept")
+        try:
+            sequence = SequenceSpec.from_dict(sidecar["sequence"])
+            swept = swept or sidecar.get("swept")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
     if sequence is None:
         raise ValidationError(
             "ingest needs a SequenceSpec (no sidecar found next to the file)")
@@ -239,9 +246,7 @@ def write_reconstruction(recon: ReconstructedSpectrum, path: str | Path) -> Path
                                recon.uncertainties, recon.flags))))
     meta: dict = {"method": recon.method.value, "metadata": recon.metadata}
     if recon.bins is not None:
-        meta["bins"] = {"edges": recon.bins.edges,
-                        "counts": recon.bins.counts,
-                        "spreads": recon.bins.spreads}
+        meta["bins"] = {"edges": recon.bins.edges, "counts": recon.bins.counts}
     write_json(_meta_path(path), meta)
     return path
 

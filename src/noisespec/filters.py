@@ -116,7 +116,7 @@ def default_cpmg_omegas(n_pulses: int, duration: float,
     synthesis raises ``z_max`` past 40*n only while the spectral weight
     under the filter's 1/omega^2 tail envelope beyond it still exceeds
     ``rel_tol`` times the integral the 40*n grid covers, and never past the
-    spectrum's power extent (see ``forward._cpmg_ff_for``).
+    spectrum's power extent (see ``forward.filter_for``).
     """
     if z_max is None:
         z_max = 40.0 * n_pulses

@@ -17,8 +17,8 @@ from scipy.optimize import least_squares, minimize
 from scipy.signal import find_peaks
 
 from .errors import NumericError, ValidationError
-from .filters import FilterFunction, cpmg_ff, dysco_ff
-from .forward import AbscissaKind, CoherenceCurve
+from .filters import FilterFunction
+from .forward import AbscissaKind, CoherenceCurve, filter_for
 from .noise import NoiseSpectrum, composite
 from .reconstruct import ReconstructedSpectrum
 
@@ -39,15 +39,19 @@ class FitResult:
         return self.parameters[name]
 
 
-def _ls_covariance(res, n_obs: int, names: tuple[str, ...]) -> dict[str, float] | None:
-    n_par = res.x.size
+def _covariance(jac: np.ndarray, residuals: np.ndarray,
+                names: tuple[str, ...]) -> dict[str, float] | None:
+    """Parameter variances s^2 diag((J^T J)^-1), s^2 = |r|^2 / (m - p), from
+    an (m, p) Jacobian at the optimum; None without residual degrees of
+    freedom or with a singular J^T J."""
+    n_obs, n_par = jac.shape
     if n_obs <= n_par:
         return None
     try:
-        jtj_inv = np.linalg.inv(res.jac.T @ res.jac)
+        jtj_inv = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         return None
-    s2 = 2.0 * res.cost / (n_obs - n_par)
+    s2 = float(residuals @ residuals) / (n_obs - n_par)
     return {k: float(max(v, 0.0))
             for k, v in zip(names, np.diag(jtj_inv) * s2)}
 
@@ -87,11 +91,11 @@ class _ChiTable:
     call followed by segmented dot products.
     """
 
-    def __init__(self, curve: CoherenceCurve, template_n: int,
+    def __init__(self, curve: CoherenceCurve,
                  window: tuple[float, float]) -> None:
         grids = []
         for t in curve.xs:
-            ff = self._ff_for(curve, template_n, float(t))
+            ff = filter_for(replace(curve.sequence, duration=float(t), tau_free=None))
             grid = self._grid_for(ff, float(t), window)
             vals = ff.evaluate(grid)
             w = np.empty_like(grid)
@@ -104,13 +108,6 @@ class _ChiTable:
         self.offsets = np.concatenate(
             [[0], np.cumsum([g.size for g, _ in grids])[:-1]])
         self.data = np.asarray(curve.coherences, dtype=float)
-
-    @staticmethod
-    def _ff_for(curve: CoherenceCurve, n: int, t: float) -> FilterFunction:
-        spec = curve.sequence
-        if spec.family.pulsed:
-            return cpmg_ff(n, t)
-        return dysco_ff(replace(spec, duration=t) if spec.duration != t else spec)
 
     @staticmethod
     def _grid_for(ff: FilterFunction, t: float,
@@ -141,7 +138,7 @@ def _noise_window(initial: np.ndarray,
     return max(0.25 * c_lo - 2.0 * s_hi, 1e-6 * initial[2]), c_hi + 8.0 * s_hi
 
 
-def fit_noise_params(curve: CoherenceCurve, template_n: int | None = None,
+def fit_noise_params(curve: CoherenceCurve,
                      initial: dict[str, float] | None = None,
                      bounds: dict[str, tuple[float, float]] | None = None,
                      max_iterations: int = 2000,
@@ -164,10 +161,8 @@ def fit_noise_params(curve: CoherenceCurve, template_n: int | None = None,
     missing = [k for k in _NOISE_PARAM_ORDER if k not in initial]
     if missing:
         raise ValidationError(f"initial guess missing {missing}")
-    if template_n is None:
-        if not curve.sequence.family.pulsed:
-            raise ValidationError("noise-model fit expects a pulse-train curve")
-        template_n = curve.sequence.n_pulses
+    if not curve.sequence.family.pulsed:
+        raise ValidationError("noise-model fit expects a pulse-train curve")
     x0 = np.array([float(initial[k]) for k in _NOISE_PARAM_ORDER])
     if np.any(x0 <= 0.0):
         raise ValidationError("initial noise parameters must be positive")
@@ -179,7 +174,7 @@ def fit_noise_params(curve: CoherenceCurve, template_n: int | None = None,
             raise ValidationError(f"initial {name} outside its bounds")
         box[name] = (float(lo), float(hi))
 
-    table = _ChiTable(curve, int(template_n), _noise_window(x0, box))
+    table = _ChiTable(curve, _noise_window(x0, box))
     evals = 0
 
     def cost(scaled: np.ndarray) -> float:
@@ -238,7 +233,17 @@ def fit_noise_params(curve: CoherenceCurve, template_n: int | None = None,
     def residuals(scaled: np.ndarray) -> np.ndarray:
         return table.model_coherences(scaled * x0) - table.data
 
-    cov = _fd_covariance(residuals, best, x0, table.data.size)
+    # forward-difference Jacobian in the scaled coordinates, variances
+    # mapped back to rad/s
+    r0 = residuals(best)
+    jac = np.empty((r0.size, best.size))
+    for j in range(best.size):
+        step = best.copy()
+        step[j] += 1e-6
+        jac[:, j] = (residuals(step) - r0) / 1e-6
+    cov = _covariance(jac, r0, _NOISE_PARAM_ORDER)
+    if cov is not None:
+        cov = {k: v * float(s) ** 2 for (k, v), s in zip(cov.items(), x0)}
     return FitResult(
         parameters=dict(zip(_NOISE_PARAM_ORDER, params.tolist())),
         units={k: "rad/s" for k in _NOISE_PARAM_ORDER},
@@ -247,28 +252,6 @@ def fit_noise_params(curve: CoherenceCurve, template_n: int | None = None,
         metadata={"n_points": table.data.size, "n_evaluations": evals,
                   "scanned_center": best_center,
                   "scanned_power_scale": best_alpha})
-
-
-def _fd_covariance(residuals, x: np.ndarray, scale: np.ndarray,
-                   n_obs: int) -> dict[str, float] | None:
-    n_par = x.size
-    if n_obs <= n_par:
-        return None
-    r0 = residuals(x)
-    jac = np.empty((r0.size, n_par))
-    h = 1e-6
-    for j in range(n_par):
-        xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (residuals(xp) - r0) / h
-    try:
-        jtj_inv = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return None
-    dof = n_obs - n_par
-    s2 = float(r0 @ r0) / dof
-    diag = np.diag(jtj_inv) * s2 * scale ** 2
-    return {k: float(max(v, 0.0)) for k, v in zip(_NOISE_PARAM_ORDER, diag)}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +289,7 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
         res = least_squares(lambda x: model1(x) - cs, x0=[initial_t2],
                             bounds=([1e-12], [np.inf]))
         t2, p = float(res.x[0]), float(fix_power)
-        cov = None if degenerate else _ls_covariance(res, cs.size, ("t2",))
+        cov = None if degenerate else _covariance(res.jac, res.fun, ("t2",))
     else:
         def model2(x):
             return np.exp(-np.power(times / x[0], x[1]))
@@ -315,7 +298,7 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
                             x0=[initial_t2, initial_power],
                             bounds=([1e-12, 1e-3], [np.inf, 4.0]))
         t2, p = float(res.x[0]), float(res.x[1])
-        cov = None if degenerate else _ls_covariance(res, cs.size, ("t2", "power"))
+        cov = None if degenerate else _covariance(res.jac, res.fun, ("t2", "power"))
     return FitResult(parameters={"t2": t2, "power": p},
                      units={"t2": "s", "power": "1"},
                      residual_norm=float(np.linalg.norm(res.fun)),
@@ -373,7 +356,7 @@ def fit_revival_comb(times: np.ndarray, coherences: np.ndarray,
     rate, p, t_rev, w = res.x
     t2 = 1.0 / rate if rate > 0.0 else math.inf
     names = ("rate", "power", "revival_time", "revival_width")
-    cov = _ls_covariance(res, cs.size, names)
+    cov = _covariance(res.jac, res.fun, names)
     return FitResult(
         parameters={"t2": float(t2), "power": float(p),
                     "revival_time": float(t_rev), "revival_width": float(w)},
@@ -437,7 +420,7 @@ def fit_gaussian_peak(spectrum: ReconstructedSpectrum,
                                 [np.inf, span, span, np.inf]))
     amp, center, width, off = res.x
     names = ("amplitude", "center_hz", "width_hz", "offset")
-    cov = _ls_covariance(res, v_all.size, names)
+    cov = _covariance(res.jac, res.fun, names)
     if cov is not None:
         for key in ("center_hz", "width_hz"):
             cov[key] = cov[key] / _TWO_PI ** 2

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoverageError, NumericError, ValidationError
 from .filters import FFSource, FilterFunction, cpmg_ff, default_cpmg_omegas, \
-    default_continuous_omegas, dysco_ff
+    dysco_ff
 from .noise import ComponentKind, NoiseSpectrum
 from .sequences import SequenceSpec
 
@@ -195,7 +195,7 @@ def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> f
 
 
 # ---------------------------------------------------------------------------
-# synthetic curves
+# filter selection
 # ---------------------------------------------------------------------------
 
 # Node budget of a comb-resolving grid (~2e5 nodes).  The weight rule alone
@@ -204,15 +204,26 @@ def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> f
 _COMB_Z_CAP = 8e4
 
 
-def _cpmg_ff_for(spectrum: NoiseSpectrum, n: int, t: float,
-                 rel_tol: float = 1e-4) -> FilterFunction:
-    # The comb grid ends at the smallest z = omega*t >= 40n past which the
-    # weight that can still reach chi, integral S * ff.tail_envelope, falls
-    # below rel_tol times the integral the 40n grid already covers; it never
-    # passes the power-extent rule min(extent*t*1.05, _COMB_Z_CAP).  The
-    # 1/omega^2 envelope makes this far shorter than the power extent of a
-    # heavy-tailed spectrum; chi_detailed's geometric extension and refine
-    # loop integrate what lies beyond.
+def filter_for(spec: SequenceSpec, spectrum: NoiseSpectrum | None = None,
+               rel_tol: float = 1e-4) -> FilterFunction:
+    """The filter function FF that ``chi`` integrates for one sequence.
+
+    A continuous carrier gets ``dysco_ff(spec)`` and a pulsed train without
+    ``spectrum`` gets ``cpmg_ff(n, t)`` on its default grid.  Given the
+    spectrum, a pulsed train's comb grid ends at the smallest z = omega*t
+    >= 40n past which the weight that can still reach chi, integral
+    S * ff.tail_envelope, falls below ``rel_tol`` times the integral the
+    40n grid already covers; it never passes the power-extent rule
+    min(extent*t*1.05, _COMB_Z_CAP).  The 1/omega^2 envelope makes this far
+    shorter than the power extent of a heavy-tailed spectrum;
+    ``chi_detailed``'s geometric extension and refine loop integrate what
+    lies beyond.
+    """
+    if not spec.family.pulsed:
+        return dysco_ff(spec)
+    n, t = spec.n_pulses, spec.duration
+    if spectrum is None:
+        return cpmg_ff(n, t)
     z_floor = 40.0 * n
     z_cap = min(max(z_floor, spectrum.extent() * t * 1.05), _COMB_Z_CAP)
     ff = cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=min(z_floor, z_cap)))
@@ -230,6 +241,10 @@ def _cpmg_ff_for(spectrum: NoiseSpectrum, n: int, t: float,
         return ff
     return cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=z))
 
+
+# ---------------------------------------------------------------------------
+# synthetic curves
+# ---------------------------------------------------------------------------
 
 def _coherences(spectrum: NoiseSpectrum, ffs, rel_tol: float):
     """exp(-chi) at each filter of ``ffs``, plus the curve's quadrature
@@ -296,8 +311,9 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
         times = np.sort(grids[n])
         if times.size == 0 or times[0] <= 0.0:
             raise ValidationError("time grids must be positive and non-empty")
-        cs, quad = _coherences(spectrum, (_cpmg_ff_for(spectrum, n, t, rel_tol)
-                                          for t in times), rel_tol)
+        specs = (SequenceSpec.cpmg(n, duration=float(t)) for t in times)
+        cs, quad = _coherences(spectrum, (filter_for(spec, spectrum, rel_tol)
+                                          for spec in specs), rel_tol)
         template = SequenceSpec.cpmg(n, duration=float(times[-1]))
         curves.append(CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME,
@@ -318,7 +334,7 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
     if fs.size == 0 or fs[0] <= 0.0:
         raise ValidationError("frequency grid must be positive and non-empty")
     cs, quad = _coherences(spectrum, (
-        dysco_ff(replace(template, mod_frequency=float(f0))) for f0 in fs), rel_tol)
+        filter_for(replace(template, mod_frequency=float(f0))) for f0 in fs), rel_tol)
     return CoherenceCurve(
         abscissa_kind=AbscissaKind.MOD_FREQUENCY,
         xs=fs, coherences=cs, uncertainties=np.zeros_like(fs),

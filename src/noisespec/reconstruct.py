@@ -22,6 +22,7 @@ than three sigma) are flagged CLIPPED and excluded from the inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,9 +30,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .filters import FilterFunction, cpmg_ff, default_cpmg_omegas, \
-    dysco_ff, peak_stats
-from .forward import AbscissaKind, CoherenceCurve
+from .filters import cpmg_ff, peak_stats
+from .forward import AbscissaKind, CoherenceCurve, filter_for
 from .sequences import Family, SequenceSpec
 
 _TWO_PI = 2.0 * math.pi
@@ -50,7 +50,6 @@ class Method(str, Enum):
 class BinSet:
     edges: np.ndarray
     counts: np.ndarray
-    spreads: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,55 +83,44 @@ class ReconstructedSpectrum:
         return replace(self, omegas=self.omegas + delta_omega)
 
 
+@functools.cache
+def _main_lobe(n: int) -> tuple[float, float, float, float]:
+    """(z0, gain, lobe area, z_top) of the n-pulse filter at unit duration,
+    computed once per process."""
+    ff = cpmg_ff(n, 1.0)
+    stats = peak_stats(ff)
+    v = ff.values
+    i = int(np.argmax(v))
+    while i + 1 < v.size and v[i + 1] < v[i]:
+        i += 1
+    return _TWO_PI * stats.f0, stats.gain, stats.main_lobe_area, float(ff.omegas[i])
+
+
 class CpmgFilterProvider:
-    """Peak statistics and evaluators for pulsed-train filters.
+    """Main-lobe numbers of pulsed-train filters.
 
     The filter scales as FF(omega; n, t) = t * G_n(omega t), so the peak
-    position and half width scale as 1/t and the gain depends on the pulse
-    count only; everything is computed once per n on a canonical unit-time
-    grid and cached.
+    position and the lobe's upper edge scale as 1/t while the gain and the
+    lobe area depend on the pulse count only.  Every number comes from one
+    process-wide cache keyed by n, so the class holds no state.
     """
 
-    def __init__(self) -> None:
-        self._stats: dict[int, tuple[float, float, float, float, float]] = {}
-
-    def _canonical(self, n: int) -> tuple[float, float, float, float, float]:
-        if n not in self._stats:
-            ff = cpmg_ff(n, 1.0)
-            stats = peak_stats(ff)
-            z0 = _TWO_PI * stats.f0
-            dz = _TWO_PI * stats.fwhm
-            z_hi = self._upper_lobe_edge(ff)
-            self._stats[n] = (z0, dz, stats.gain, stats.main_lobe_area, z_hi)
-        return self._stats[n]
+    @staticmethod
+    def omega0(n: int, t: float) -> float:
+        return _main_lobe(n)[0] / t
 
     @staticmethod
-    def _upper_lobe_edge(ff: FilterFunction) -> float:
-        z = ff.omegas
-        v = ff.values
-        i = int(np.argmax(v))
-        while i + 1 < v.size and v[i + 1] < v[i]:
-            i += 1
-        return float(z[i])
+    def gain(n: int) -> float:
+        return _main_lobe(n)[1]
 
-    def omega0(self, n: int, t: float) -> float:
-        return self._canonical(n)[0] / t
+    @staticmethod
+    def lobe_area(n: int) -> float:
+        return _main_lobe(n)[2]
 
-    def half_width(self, n: int, t: float) -> float:
-        return 0.5 * self._canonical(n)[1] / t
-
-    def gain(self, n: int) -> float:
-        return self._canonical(n)[2]
-
-    def lobe_area(self, n: int) -> float:
-        return self._canonical(n)[3]
-
-    def lobe_top(self, n: int, t: float) -> float:
+    @staticmethod
+    def lobe_top(n: int, t: float) -> float:
         """Frequency of the minimum that closes the main lobe from above."""
-        return self._canonical(n)[4] / t
-
-    def ff(self, n: int, t: float) -> FilterFunction:
-        return cpmg_ff(n, t, default_cpmg_omegas(n, t))
+        return _main_lobe(n)[3] / t
 
 
 @dataclass
@@ -148,13 +136,12 @@ class _SdPoint:
     value: float = math.nan
 
 
-def _rescale_reference(curve: CoherenceCurve, count: int) -> float:
-    k = min(count, curve.xs.size)
-    return float(np.mean(curve.coherences[:k]))
+# points averaged at each curve's shortest times for the unit-coherence reference
+_RESCALE_POINTS = 3
 
 
-def cpmg_sd(curves: list[CoherenceCurve], ff_provider: CpmgFilterProvider | None = None,
-            bin_count: int | None = 40, rescale_points: int = 3) -> ReconstructedSpectrum:
+def cpmg_sd(curves: list[CoherenceCurve],
+            bin_count: int | None = 40) -> ReconstructedSpectrum:
     """Two-step spectral decomposition of a pulsed-train curve family.
 
     Parameters
@@ -162,17 +149,11 @@ def cpmg_sd(curves: list[CoherenceCurve], ff_provider: CpmgFilterProvider | None
     curves : list of CoherenceCurve
         TIME-abscissa curves of CPMG/HAHN templates (mixed pulse counts are
         the intended input).
-    ff_provider : optional
-        Source of filter statistics, a shared cache by default.
     bin_count : int or None
         Number of log-spaced output bins; ``None`` or 0 returns raw points.
-    rescale_points : int
-        Points averaged at each curve's shortest times for the unit-coherence
-        reference.
     """
     if not curves:
         raise ValidationError("cpmg_sd needs at least one curve")
-    provider = ff_provider if ff_provider is not None else CpmgFilterProvider()
     points: list[_SdPoint] = []
     for curve in curves:
         if curve.abscissa_kind is not AbscissaKind.TIME:
@@ -180,8 +161,8 @@ def cpmg_sd(curves: list[CoherenceCurve], ff_provider: CpmgFilterProvider | None
         if not curve.sequence.family.pulsed:
             raise ValidationError("cpmg_sd needs pulsed-family curves")
         n = curve.sequence.n_pulses
-        area = provider.lobe_area(n)
-        ref = _rescale_reference(curve, rescale_points)
+        z0, _, area, z_top = _main_lobe(n)
+        ref = float(np.mean(curve.coherences[:_RESCALE_POINTS]))
         if ref <= 0.0:
             raise ValidationError("short-time reference is non-positive; "
                                   "curve cannot be rescaled")
@@ -198,15 +179,15 @@ def cpmg_sd(curves: list[CoherenceCurve], ff_provider: CpmgFilterProvider | None
             s0 = 2.0 * chi_val / (t * area)
             sigma_s = 2.0 * sigma_chi / (t * area)
             points.append(_SdPoint(
-                omega0=provider.omega0(n, t), s0=s0, n=n, t=float(t),
-                lobe_area=area, lobe_top=provider.lobe_top(n, t),
+                omega0=z0 / t, s0=s0, n=n, t=float(t),
+                lobe_area=area, lobe_top=z_top / t,
                 sigma_s=sigma_s, flag=flag))
     points.sort(key=lambda p: p.omega0)
-    _harmonic_correction(points, provider)
+    _harmonic_correction(points)
     return _assemble(points, Method.CPMG_SD, bin_count)
 
 
-def _harmonic_correction(points: list[_SdPoint], provider: CpmgFilterProvider) -> None:
+def _harmonic_correction(points: list[_SdPoint]) -> None:
     """Subtract each filter's harmonic pickup of the estimated spectrum.
 
     Sweeps once from the highest probe frequency downward so that every
@@ -234,8 +215,8 @@ def _harmonic_correction(points: list[_SdPoint], provider: CpmgFilterProvider) -
             grid = np.unique(np.concatenate([grid, kw[(kw > lo) & (kw < omega_top)]]))
             s_hat = np.interp(grid, kw, np.maximum(ks, 0.0),
                               left=max(ks[0], 0.0), right=0.0)
-            ff = provider.ff(p.n, p.t)
-            corr = float(np.trapezoid(s_hat * ff.evaluate(grid), grid)) / p.lobe_area
+            ff_vals = cpmg_ff(p.n, p.t, grid).values
+            corr = float(np.trapezoid(s_hat * ff_vals, grid)) / p.lobe_area
         p.value = p.s0 - corr
         known_w.insert(0, p.omega0)
         known_s.insert(0, p.value)
@@ -265,18 +246,17 @@ def _assemble(points: list[_SdPoint], method: Method,
     edges = np.geomspace(w_ok[0] * (1 - 1e-12), w_ok[-1] * (1 + 1e-12),
                          int(bin_count) + 1)
     idx = np.clip(np.searchsorted(edges, w_ok, side="right") - 1, 0, bin_count - 1)
-    b_w, b_v, b_u, counts, spreads = [], [], [], [], []
+    b_w, b_v, b_u, counts = [], [], [], []
     for b in range(int(bin_count)):
         mask = idx == b
         if not np.any(mask):
             continue
         b_w.append(float(np.mean(w_ok[mask])))
         b_v.append(float(np.mean(v_ok[mask])))
-        spread = float(np.std(v_ok[mask])) if np.count_nonzero(mask) > 1 else 0.0
-        b_u.append(spread)
-        counts.append(int(np.count_nonzero(mask)))
-        spreads.append(spread)
-    bins = BinSet(edges=edges, counts=np.array(counts), spreads=np.array(spreads))
+        count = int(np.count_nonzero(mask))
+        b_u.append(float(np.std(v_ok[mask])) if count > 1 else 0.0)
+        counts.append(count)
+    bins = BinSet(edges=edges, counts=np.array(counts))
     meta["binned"] = True
     return ReconstructedSpectrum(
         np.array(b_w), np.array(b_v), np.array(b_u),
@@ -306,7 +286,7 @@ def direct_extract(curve: CoherenceCurve,
     if a <= 0.0:
         raise ValidationError("sweep contrast must be positive")
     t = template.duration
-    gain = peak_stats(dysco_ff(template)).gain
+    gain = peak_stats(filter_for(template)).gain
     omegas = _TWO_PI * curve.xs
     values = np.empty_like(omegas)
     sigmas = np.zeros_like(omegas)
@@ -362,9 +342,9 @@ def dynamic_range(template: SequenceSpec, epsilon: float, a_max: float = 1.0,
         raise ValidationError("need 0 < epsilon < a_max <= 1")
     t = template.duration
     if template.family.pulsed:
-        gain = CpmgFilterProvider().gain(template.n_pulses)
+        gain = _main_lobe(template.n_pulses)[1]
     else:
-        gain = peak_stats(dysco_ff(template)).gain
+        gain = peak_stats(filter_for(template)).gain
     lo_arg = a_max - epsilon
     hi_arg = epsilon
     if normalized_contrast:

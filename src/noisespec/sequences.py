@@ -157,6 +157,9 @@ class SequenceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SequenceSpec":
+        """Inverse of :meth:`to_dict`; a malformed dict is a ValidationError."""
+        if not isinstance(data, dict):
+            raise ValidationError("sequence must be a JSON object")
         known = {"family", "duration", "n_pulses", "tau_free", "mod_frequency",
                  "envelope_sigma", "quant_steps", "amplitude"}
         unknown = set(data) - known
@@ -164,7 +167,12 @@ class SequenceSpec:
             raise ValidationError(f"unknown sequence fields: {sorted(unknown)}")
         if "family" not in data or "duration" not in data:
             raise ValidationError("sequence dict needs at least family and duration")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed sequence ({exc})") from None
 
 
 @dataclass(frozen=True)

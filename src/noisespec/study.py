@@ -166,11 +166,10 @@ def peak_study_curves(spectrum: NoiseSpectrum, duration: float = 200e-6,
     c_lo, c_hi = cpmg_band
     if not 0.0 < c_lo < c_hi:
         raise ValidationError("cpmg_band must satisfy 0 < lo < hi")
-    provider = CpmgFilterProvider()
     grids: dict[int, np.ndarray] = {}
     for n in n_list:
         # pulse-train probe frequency is inversely proportional to duration
-        z0 = provider.omega0(int(n), 1.0)
+        z0 = CpmgFilterProvider.omega0(int(n), 1.0)
         grids[int(n)] = np.sort(z0 / np.geomspace(c_lo, c_hi, points_per_n))
     cpmg_curves = synth_cpmg_family(spectrum, list(grids), time_grid_per_n=grids,
                                     rel_tol=rel_tol)
@@ -216,7 +215,6 @@ def peak_study(spectrum: NoiseSpectrum, epsilon: float = 0.03,
                                    points_per_n=points_per_n, rel_tol=rel_tol)
     cpmg_curves, dysco_curve, gdysco_curve = curves
     window_hz = (band[0] / _TWO_PI, band[1] / _TWO_PI)
-    provider = CpmgFilterProvider()
     per_seed = []
     samples: dict[str, list[tuple[float, float]]] = \
         {"cpmg_sd": [], "dysco": [], "gdysco": []}
@@ -228,7 +226,7 @@ def peak_study(spectrum: NoiseSpectrum, epsilon: float = 0.03,
         noisy_gdysco = add_measurement_noise(gdysco_curve, epsilon,
                                              _curve_seed(seed, 102))
         recons = {
-            "cpmg_sd": cpmg_sd(noisy_cpmg, provider),
+            "cpmg_sd": cpmg_sd(noisy_cpmg),
             "dysco": direct_extract(noisy_dysco),
             "gdysco": direct_extract(noisy_gdysco),
         }

@@ -441,3 +441,40 @@ def test_cli_malformed_initial_guess_exits_3(tmp_path, capsys, small_curve,
                    "--initial", token, "--outdir", str(tmp_path)])
     assert rc == 3
     assert "--initial" in _one_line_error(capsys)
+
+
+_SIDECAR_EDITS = {
+    "family": lambda m: {**m, "sequence": {**m["sequence"], "family": "bogus"}},
+    "duration": lambda m: {**m, "sequence": {**m["sequence"], "duration": "abc"}},
+    "n_pulses": lambda m: {**m, "sequence": {**m["sequence"], "n_pulses": "x"}},
+    "abscissa_kind": lambda m: {**m, "abscissa_kind": "hour"},
+    "no_sequence": lambda m: {k: v for k, v in m.items() if k != "sequence"},
+    "list": lambda m: [m],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIDECAR_EDITS))
+def test_cli_malformed_curve_sidecar_exits_3(tmp_path, capsys, small_curve,
+                                             case):
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    meta_file = tmp_path / "c.meta.json"
+    meta = _SIDECAR_EDITS[case](json.loads(meta_file.read_text()))
+    meta_file.write_text(json.dumps(meta))
+    rc = cli_main(["reconstruct", "--mode", "sd", "--curves", str(path),
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "c.meta.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-list", "2,x", "--times", "1e-5:1e-4:3"],
+    ["--revivals", "--orders", "1,y"],
+    ["--config", "n_list.json", "--times", "1e-5:1e-4:3"],
+], ids=["n-list", "orders", "config"])
+def test_cli_malformed_integer_list_exits_3(tmp_path, monkeypatch, capsys,
+                                            flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n_list.json").write_text(json.dumps({"n_list": 5}))
+    rc = cli_main(["synth", "--spectrum", "zero", "--family", "cpmg", *flags])
+    assert rc == 3
+    assert "comma-separated integers" in _one_line_error(capsys)

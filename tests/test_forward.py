@@ -20,6 +20,8 @@ from noisespec import (
     composite,
     cpmg_ff,
     default_cpmg_omegas,
+    dysco_ff,
+    filter_for,
     gaussian_peak,
     lorentzian_dc,
     peak_stats,
@@ -28,7 +30,6 @@ from noisespec import (
     tabulated,
     write_curve,
 )
-from noisespec.forward import _cpmg_ff_for
 
 
 def _flat_spectrum(level: float, top: float = 1e9):
@@ -147,7 +148,7 @@ def _power_extent_z(spectrum, n, t):
 def test_heavy_tail_grid_stops_at_the_weight_that_reaches_chi():
     sigma, n, t = 2e5, 8, 3e-3
     bath = lorentzian_dc(0.1 * sigma, sigma)
-    ff = _cpmg_ff_for(bath, n, t, 1e-4)
+    ff = filter_for(SequenceSpec.cpmg(n, duration=t), bath, 1e-4)
     full = default_cpmg_omegas(n, t, z_max=_power_extent_z(bath, n, t))
     assert ff.omegas.size < 0.05 * full.size
     value = chi(bath, ff)
@@ -166,10 +167,32 @@ def test_weight_sized_grid_never_exceeds_the_power_extent_rule(
     bath = composite(5.0 * sigma, 0.1 * sigma, 8.0 * sigma, sigma, sigma) \
         if line else lorentzian_dc(2.0 * sigma, sigma)
     z_parent = _power_extent_z(bath, n, t)
-    ff = _cpmg_ff_for(bath, n, t, rel_tol)
+    ff = filter_for(SequenceSpec.cpmg(n, duration=t), bath, rel_tol)
     assert ff.omegas.size <= default_cpmg_omegas(n, t, z_max=z_parent).size
     # the comb is always resolved out to 40 n (or the whole extent, if less)
     assert ff.omegas[-1] * t >= min(40.0 * n, z_parent) - math.pi / 8.0
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec.cpmg(8, duration=2e-4), SequenceSpec.hahn(5e-5),
+    SequenceSpec.dysco(2e-4, 1e5), SequenceSpec.gdysco(2e-4, 1e5),
+], ids=["cpmg", "hahn", "dysco", "gdysco"])
+def test_filter_for_without_spectrum_is_the_closed_form(spec):
+    ff = filter_for(spec)
+    ref = cpmg_ff(spec.n_pulses, spec.duration) if spec.family.pulsed \
+        else dysco_ff(spec)
+    assert ff.source is ref.source and ff.duration == ref.duration
+    assert np.array_equal(ff.omegas, ref.omegas)
+    assert np.array_equal(ff.values, ref.values)
+
+
+def test_filter_for_with_spectrum_is_the_synthesis_grid():
+    sigma, n, t = 2e5, 8, 3e-3
+    bath = lorentzian_dc(0.1 * sigma, sigma)
+    ff = filter_for(SequenceSpec.cpmg(n, duration=t), bath)
+    assert ff.omegas.size > cpmg_ff(n, t).omegas.size
+    (curve,) = synth_cpmg_family(bath, [n], time_grid_per_n=[[t]])
+    assert curve.metadata["ff_grid_max"] == ff.omegas.size
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +236,9 @@ def test_coherence_revives_at_full_line_periods(bath):
 def test_curves_carry_quadrature_diagnostics(tmp_path, bath):
     times = np.geomspace(1e-5, 2e-4, 4)
     (curve,) = synth_cpmg_family(bath, [4], time_grid_per_n=[times])
-    infos = [chi_detailed(bath, _cpmg_ff_for(bath, 4, t))[1] for t in times]
-    grids = [_cpmg_ff_for(bath, 4, t).omegas.size for t in times]
+    ffs = [filter_for(SequenceSpec.cpmg(4, duration=t), bath) for t in times]
+    infos = [chi_detailed(bath, ff)[1] for ff in ffs]
+    grids = [ff.omegas.size for ff in ffs]
     meta = curve.metadata
     assert meta["rel_err_max"] == max(i["rel_err"] for i in infos) <= 1e-4
     assert meta["ff_grid_max"] == max(grids)

@@ -109,6 +109,20 @@ def test_sd_binning_aggregates_points(dc_lorentzian):
     assert binned.method is Method.CPMG_SD
 
 
+def test_binned_uncertainty_is_the_spread_of_its_bin(dc_lorentzian):
+    times = np.geomspace(5e-5, 1e-3, 8)
+    curves = _sd_curves(dc_lorentzian, (1, 2, 4), times)
+    raw = cpmg_sd(curves, bin_count=None)
+    binned = cpmg_sd(curves, bin_count=6)
+    w, v = raw.omegas[raw.valid], raw.values[raw.valid]
+    edges = binned.bins.edges
+    spreads = [float(np.std(v[(w >= lo) & (w < hi)]))
+               for lo, hi in zip(edges[:-1], edges[1:])
+               if np.any((w >= lo) & (w < hi))]
+    assert np.count_nonzero(spreads) >= 2
+    assert binned.uncertainties.tolist() == pytest.approx(spreads, rel=1e-12)
+
+
 def test_sd_requires_pulsed_time_curves(bath):
     sweep = synth_dysco_sweep(bath, SequenceSpec.dysco(duration=2e-4,
                                                        mod_frequency=1e5),
