@@ -498,10 +498,40 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_rt.set_defaults(func=_cmd_roundtrip)
 
     if defaults:
-        parser.set_defaults(**defaults)
-        for action in sub.choices.values():
-            action.set_defaults(**{k: v for k, v in defaults.items()})
+        for command in sub.choices.values():
+            command.set_defaults(**_typed_defaults(command, defaults))
     return parser
+
+
+def _typed_defaults(parser: argparse.ArgumentParser, defaults: dict) -> dict:
+    """``defaults`` converted by each option's own type and checked against
+    its choices, as a value given on the command line would be (argparse
+    converts only string defaults, and checks none)."""
+    typed = dict(defaults)
+    for action in parser._actions:
+        key = action.dest
+        value = defaults.get(key)
+        if value is None:
+            continue
+        bad = f"config key {key!r}: invalid value {value!r}"
+        if action.nargs == 0:           # a flag: only true or false
+            if not isinstance(value, bool):
+                raise ValidationError(bad)
+            continue
+        if action.type is not None:
+            # a number is read as its decimal form, as if typed; a bool,
+            # list or object is not a command-line token at all
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValidationError(bad)
+            try:
+                value = action.type(str(value))
+            except (TypeError, ValueError):
+                raise ValidationError(bad) from None
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise ValidationError(f"{bad}; choose from {choices}")
+        typed[key] = value
+    return typed
 
 
 def _preload_config(argv: list[str]) -> dict:

@@ -20,11 +20,20 @@ the phase is then phi = sum_k r_k cos(theta_k + psi_k) with
 r_k = A_k |I_k| and psi_k = arg I_k: one cosine per mode, evaluated for a
 block of realizations at once.  ``McResult.work`` counts realizations x
 modes plus modes x runs, the quantity ``McConfig.budget`` caps.
+
+The realization indices are split into contiguous, nearly equal ranges,
+one per CPU in the process's affinity, and each range is filled by a
+thread; the random draws and the cosines release the GIL.  Realization i
+draws its phases from its own stream, seeded by (seed, i), and its phase
+is summed in the same order whatever range it falls in, so every result
+is bitwise the same for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +45,14 @@ from .sequences import SensitivityTrace
 _TWO_PI = 2.0 * math.pi
 # working-set size of one block in the mode-integral and realization kernels
 _BLOCK_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity), else all the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity query on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -135,8 +152,8 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
     """Monte Carlo coherence of ``trace`` under ``spectrum``.
 
     Deterministic per (seed, realization index): each realization's phases
-    come from an independent counter-derived stream, so chunked or serial
-    evaluation gives identical results.
+    come from an independent counter-derived stream, so the result does not
+    depend on how the realizations are split over blocks or threads.
     """
     dt = trace.dt
     # the trace must resolve the requested band or, when the band defaults
@@ -169,19 +186,33 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
     psi = np.arctan2(v, u)
 
     phis = np.empty(n)
-    rows = max(1, _BLOCK_BYTES // (8 * k))
-    block = np.empty((rows, k))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        for j, i in enumerate(range(start, stop)):
-            block[j] = np.random.default_rng([int(cfg.seed), i]).uniform(
-                0.0, _TWO_PI, k)
-        theta = block[:stop - start]
-        theta += psi
-        np.cos(theta, out=theta)
-        # einsum keeps the product on this thread: a threaded BLAS call per
-        # block only leaves its workers spinning through the next RNG fill
-        phis[start:stop] = np.einsum("ij,j->i", theta, r)
+    workers = min(_usable_cpus(), n)
+    # contiguous, nearly equal ranges of realization indices, one per worker;
+    # the workers split one block budget, so the working set does not grow
+    edges = [n * w // workers for w in range(workers + 1)]
+    rows = max(1, _BLOCK_BYTES // (8 * k * workers))
+    # allocated here, not in the workers, so that no thread's malloc arena
+    # keeps a block after the call
+    blocks = np.empty((workers, min(rows, -(-n // workers)), k))
+
+    def fill(block: np.ndarray, lo: int, hi: int) -> None:
+        # realizations lo..hi-1 into phis[lo:hi], a block of rows at a time;
+        # random() x 2 pi is bitwise uniform(0, 2 pi), which computes
+        # 0 + 2 pi x next_double
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            theta = block[:stop - start]
+            for i, row in enumerate(theta, start):
+                np.random.default_rng([int(cfg.seed), i]).random(out=row)
+            theta *= _TWO_PI
+            theta += psi
+            np.cos(theta, out=theta)
+            # einsum keeps the product on this thread: a threaded BLAS call
+            # per block only leaves its workers spinning through the next fill
+            phis[start:stop] = np.einsum("ij,j->i", theta, r)
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, blocks, edges[:-1], edges[1:]))
 
     cos_phi = np.cos(phis)
     phi_sq = phis * phis

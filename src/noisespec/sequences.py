@@ -84,13 +84,16 @@ class SequenceSpec:
             tau = dur / (2 * self.n_pulses)
         _require(tau > 0.0, "tau_free must be positive")
         derived = 2 * self.n_pulses * tau
-        if dur is not None and not math.isclose(dur, derived, rel_tol=1e-12):
+        if dur is None:
+            dur = derived
+        elif not math.isclose(dur, derived, rel_tol=1e-12):
             raise ValidationError(
                 "duration must equal 2 * n_pulses * tau_free "
                 f"(got {dur!r}, expected {derived!r})"
             )
+        # a given duration is kept as given: 2n (t / 2n) can be 1 ulp off t
         object.__setattr__(self, "tau_free", float(tau))
-        object.__setattr__(self, "duration", float(derived))
+        object.__setattr__(self, "duration", float(dur))
         _require(self.quant_steps == 0, "quant_steps applies to continuous families only")
         _require(self.mod_frequency is None, "mod_frequency applies to continuous families only")
 

@@ -422,6 +422,40 @@ def test_cli_config_with_equals_sign_sets_defaults(tmp_path):
     assert (tmp_path / "from_cfg" / "ff_cpmg.csv").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("synth", {"epsilon": [1]}),
+    ("synth", {"epsilon": "abc"}),
+    ("synth", {"seed": {}}),
+    ("reconstruct", {"bins": True}),
+    ("reconstruct", {"family": "bogus"}),
+    ("synth", {"revivals": "no"}),
+], ids=["list-for-float", "abc-for-epsilon", "object-for-seed", "true-for-bins",
+        "outside-choices", "string-for-flag"])
+def test_cli_wrong_typed_config_default_exits_3(tmp_path, monkeypatch, capsys,
+                                                command, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    flags = {"synth": ["--spectrum", "zero", "--family", "cpmg", "--n-list",
+                       "2", "--times", "1e-5:1e-4:3"],
+             "reconstruct": ["--mode", "sd", "--curves", "c.csv"]}[command]
+    rc = cli_main([command, *flags, "--config", "cfg.json"])
+    assert rc == 3
+    (key,) = config
+    assert f"config key {key!r}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("epsilon", [0.02, "0.02"], ids=["number", "string"])
+def test_cli_config_default_is_converted_by_the_option_type(tmp_path, epsilon):
+    (tmp_path / "cfg.json").write_text(json.dumps({"epsilon": epsilon}))
+    rc = cli_main(["synth", "--spectrum", "zero", "--family", "cpmg",
+                   "--n-list", "2", "--times", "1e-5:1e-4:3",
+                   "--config", str(tmp_path / "cfg.json"),
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "synth_manifest.json").read_text())
+    assert manifest["config"]["epsilon"] == 0.02
+
+
 def test_cli_peak_fit_on_bad_spectrum_cell_exits_3(tmp_path, capsys):
     path = tmp_path / "s.csv"
     path.write_text("omega_rad_s,s_rad_s\n1.0,2.0\n2.0,x\n")

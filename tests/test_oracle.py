@@ -1,6 +1,8 @@
 """Monte Carlo dephasing oracle: conventions, convergence, determinism."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from noisespec import (
     mc_coherence,
     tabulated,
 )
+from noisespec import oracle
 from noisespec.oracle import _constant_runs, _mode_integrals
 
 # Frozen reference run: composite bath, CPMG-4 over 20 us, 512 modes over
@@ -170,6 +173,61 @@ def test_batched_loop_matches_serial_loop_on_criterion_06_pair(bath):
     result = mc_coherence(bath, trace, cfg).to_dict()
     for key, want in _serial_mc(bath, trace, cfg).items():
         assert result[key] == pytest.approx(want, rel=1e-13, abs=0), key
+
+
+def _criterion_06_cpmg8(bath, dc_lorentzian):
+    seq = SequenceSpec.cpmg(8, duration=2e-5)
+    trace = build_trace(seq, 1.2 * max(20.0 / (2.0 * seq.tau_free),
+                                       10.0 * bath.extent() / (2.0 * math.pi)))
+    return bath, trace, McConfig(n_realizations=10_000, seed=0,
+                                 spectral_components=4096,
+                                 omega_max=_resolved_band(trace))
+
+
+def _hahn_uneven(bath, dc_lorentzian):
+    # 1001 realizations split unevenly over 2, 3 and 4 workers
+    trace = build_trace(SequenceSpec.hahn(1e-4), 6.1e7)
+    return dc_lorentzian, trace, McConfig(n_realizations=1001, seed=11,
+                                          spectral_components=16384)
+
+
+def _smallest(bath, dc_lorentzian):
+    spec = SequenceSpec.cpmg(4, duration=2e-5)
+    trace = build_trace(spec, sample_rate=120.0 / 2e-5)
+    return bath, trace, McConfig(n_realizations=100, seed=2,
+                                 spectral_components=512)
+
+
+@pytest.mark.parametrize("make", [_criterion_06_cpmg8, _hahn_uneven, _smallest],
+                         ids=["cpmg8-criterion-06", "hahn-1001", "cpmg4-100"])
+def test_worker_count_never_changes_the_result(make, bath, dc_lorentzian,
+                                               monkeypatch):
+    spectrum, trace, cfg = make(bath, dc_lorentzian)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # hand the GIL over often between workers
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda w=workers: w)
+            results.append(mc_coherence(spectrum, trace, cfg).to_dict())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("seed, i", [(0, 0), (0, 9999), (1, 17), (2**31 - 2, 3)])
+def test_in_place_fill_is_bitwise_uniform(seed, i):
+    # the realization loop fills rows with random() and scales them by 2 pi
+    row = np.empty(4096)
+    np.random.default_rng([seed, i]).random(out=row)
+    want = np.random.default_rng([seed, i]).uniform(0.0, 2.0 * math.pi, 4096)
+    assert np.array_equal(row * (2.0 * math.pi), want)
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    assert oracle._usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert oracle._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_reference_run_matches_quadrature(bath):

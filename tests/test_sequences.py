@@ -33,6 +33,24 @@ def test_hahn_is_single_pulse():
     assert spec.duration == pytest.approx(1e-5, rel=1e-12)
 
 
+_DURATIONS = np.geomspace(3e-5, 3e-3, 997)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_given_cpmg_duration_is_kept_bitwise(n):
+    # 2n (t / 2n) moves t by 1 ulp for some t at n = 3, 5, 6
+    for t in _DURATIONS:
+        spec = SequenceSpec.cpmg(n, duration=float(t))
+        assert spec.duration == t
+        assert spec.tau_free == t / (2 * n)
+
+
+def test_given_hahn_duration_is_kept_bitwise():
+    for t in _DURATIONS:
+        assert SequenceSpec(Family.HAHN, duration=float(t)).duration == t
+        assert SequenceSpec.hahn(float(t) / 2.0).duration == t
+
+
 def test_duration_tau_mismatch_rejected():
     with pytest.raises(ValidationError):
         SequenceSpec(family=Family.CPMG, n_pulses=4, tau_free=1e-6,
