@@ -408,7 +408,12 @@ def _cmd_roundtrip(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None,
+                 command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (from ``--config``) preload ``command``,
+    the one being run, and no other: an option such as ``--mode`` has
+    different choices in different commands, so a config value that is
+    valid for one can be invalid for another."""
     common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="noisespec",
@@ -497,9 +502,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_rt.add_argument("--out", default=None)
     p_rt.set_defaults(func=_cmd_roundtrip)
 
-    if defaults:
-        for command in sub.choices.values():
-            command.set_defaults(**_typed_defaults(command, defaults))
+    if defaults and command in sub.choices:
+        chosen = sub.choices[command]
+        chosen.set_defaults(**_typed_defaults(chosen, defaults))
     return parser
 
 
@@ -556,7 +561,10 @@ def _preload_config(argv: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser(_preload_config(argv))
+        # the top-level parser takes no option but --help, so the first
+        # token that is not an option names the command
+        command = next((arg for arg in argv if not arg.startswith("-")), None)
+        parser = build_parser(_preload_config(argv), command)
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:

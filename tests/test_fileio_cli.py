@@ -456,6 +456,25 @@ def test_cli_config_default_is_converted_by_the_option_type(tmp_path, epsilon):
     assert manifest["config"]["epsilon"] == 0.02
 
 
+def test_cli_config_mode_reaches_only_the_command_run(tmp_path):
+    # --mode has different choices in fit, reconstruct and roundtrip; a
+    # config value must be checked against the command being run only
+    (tmp_path / "cfg.json").write_text(json.dumps({"mode": "sd"}))
+    cfg = ["--config", str(tmp_path / "cfg.json")]
+    rc = cli_main(["roundtrip", "--spectrum", "default", "--rel-tol", "1e-3",
+                   "--epsilon", "0.02", "--seed", "5", "--bins", "24",
+                   "--outdir", str(tmp_path / "rt"), *cfg])
+    assert rc == 0
+    assert (tmp_path / "rt" / "roundtrip_sd.csv").exists()
+    manifest = json.loads((tmp_path / "rt" / "roundtrip_manifest.json")
+                          .read_text())
+    assert manifest["config"]["mode"] == "sd"
+    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                   "--outdir", str(tmp_path / "ff"), *cfg])
+    assert rc == 0
+    assert (tmp_path / "ff" / "ff_cpmg.csv").exists()
+
+
 def test_cli_peak_fit_on_bad_spectrum_cell_exits_3(tmp_path, capsys):
     path = tmp_path / "s.csv"
     path.write_text("omega_rad_s,s_rad_s\n1.0,2.0\n2.0,x\n")
