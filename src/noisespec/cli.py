@@ -123,10 +123,8 @@ def _parse_grid(token: str, geometric: bool) -> np.ndarray:
     return np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
 
 
-def _parse_ints(token, flag: str) -> list[int]:
+def _parse_ints(token: str, flag: str) -> list[int]:
     usage = f"{flag} must be comma-separated integers, got {token!r}"
-    if not isinstance(token, str):
-        raise ValidationError(usage)
     try:
         return [int(tok) for tok in token.split(",")]
     except ValueError:
@@ -442,7 +440,7 @@ def build_parser(defaults: dict | None = None,
     p_synth.add_argument("--spectrum", default="default",
                          help="default | zero | model JSON path")
     p_synth.add_argument("--n-list", default=None,
-                         help="comma-separated pulse counts")
+                         help="pulse counts, as comma-separated integers")
     p_synth.add_argument("--times", default=None,
                          help="evolution time grid lo:hi:count[:lin|:geom] [s]")
     p_synth.add_argument("--f-grid", default=None,
@@ -450,7 +448,7 @@ def build_parser(defaults: dict | None = None,
     p_synth.add_argument("--revivals", action="store_true",
                          help="sample only at bath-period revivals")
     p_synth.add_argument("--orders", default=None,
-                         help="comma-separated revival orders")
+                         help="revival orders, as comma-separated integers")
     p_synth.add_argument("--epsilon", type=float, default=0.0,
                          help="readout noise level")
     p_synth.add_argument("--out", default=None)
@@ -511,7 +509,9 @@ def build_parser(defaults: dict | None = None,
 def _typed_defaults(parser: argparse.ArgumentParser, defaults: dict) -> dict:
     """``defaults`` converted by each option's own type and checked against
     its choices, as a value given on the command line would be (argparse
-    converts only string defaults, and checks none)."""
+    converts only string defaults, and checks none).  A single-value option
+    without a type (a path, a grid, a list of integers) takes only a
+    string."""
     typed = dict(defaults)
     for action in parser._actions:
         key = action.dest
@@ -532,6 +532,9 @@ def _typed_defaults(parser: argparse.ArgumentParser, defaults: dict) -> dict:
                 value = action.type(str(value))
             except (TypeError, ValueError):
                 raise ValidationError(bad) from None
+        elif action.nargs is None and not isinstance(value, str):
+            raise ValidationError(f"{bad}; expected a string"
+                                  + (f": {action.help}" if action.help else ""))
         if action.choices is not None and value not in action.choices:
             choices = ", ".join(map(str, action.choices))
             raise ValidationError(f"{bad}; choose from {choices}")

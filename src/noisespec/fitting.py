@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
-from scipy.signal import find_peaks
 
 from .errors import NumericError, ValidationError
 from .filters import FilterFunction
@@ -154,6 +152,11 @@ def fit_noise_params(curve: CoherenceCurve,
     ``bounds`` maps parameter names to (lo, hi); missing entries get a
     default box around the initial guess.
     """
+    # scipy.optimize and scipy.signal (which loads scipy.stats) take about a
+    # second to import; each fit imports what it calls, so that importing the
+    # package and running the commands that fit nothing never load them.
+    from scipy.optimize import minimize
+
     if curve.abscissa_kind is not AbscissaKind.TIME:
         raise ValidationError("noise-model fit expects a TIME curve")
     if initial is None:
@@ -266,6 +269,8 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
 
     ``fix_power`` freezes the exponent and fits T2 alone.
     """
+    from scipy.optimize import least_squares
+
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
     if times.size != cs.size or times.size < 4:
@@ -321,6 +326,9 @@ def fit_revival_comb(times: np.ndarray, coherences: np.ndarray,
     The envelope is parameterized by the rate r = 1/T2 so that r = 0 (no
     decay) is an ordinary boundary point rather than an infinite parameter.
     """
+    from scipy.optimize import least_squares
+    from scipy.signal import find_peaks
+
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
     if times.size != cs.size or times.size < 8:
@@ -381,6 +389,8 @@ def fit_gaussian_peak(spectrum: ReconstructedSpectrum,
     coordinates centered on the observed maximum, so translating the input
     frequency axis translates the fitted center by exactly the same amount.
     """
+    from scipy.optimize import least_squares
+
     keep = spectrum.valid & np.isfinite(spectrum.values)
     w_all = spectrum.omegas[keep]
     v_all = spectrum.values[keep]

@@ -239,7 +239,12 @@ def filter_for(spec: SequenceSpec, spectrum: NoiseSpectrum | None = None,
     z = min(float(w[np.argmax(beyond <= rel_tol * covered)]) * t, z_cap)
     if z <= z_floor:
         return ff
-    return cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=z))
+    # the 40n grid is a leading prefix of every longer one (same arange start
+    # and step, and the fine window ends below 40n), so only the new tail
+    # nodes need the closed form
+    omegas = default_cpmg_omegas(n, t, z_max=z)
+    tail = ff.evaluate(omegas[ff.omegas.size:])
+    return replace(ff, omegas=omegas, values=np.concatenate([ff.values, tail]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,15 +433,28 @@ def test_cli_config_with_equals_sign_sets_defaults(tmp_path):
     ("reconstruct", {"bins": True}),
     ("reconstruct", {"family": "bogus"}),
     ("synth", {"revivals": "no"}),
+    ("synth", {"times": 5}),
+    ("synth", {"f_grid": [1e5, 2e5, 3]}),
+    ("synth", {"outdir": 5}),
+    ("synth", {"out": 5}),
+    ("synth", {"spectrum": 5}),
+    ("synth", {"orders": [1, 2]}),
+    ("synth", {"n_list": [2]}),
+    ("reconstruct", {"schema": 5}),
+    ("fit", {"initial": {"gauss_delta": 5e5}}),
 ], ids=["list-for-float", "abc-for-epsilon", "object-for-seed", "true-for-bins",
-        "outside-choices", "string-for-flag"])
+        "outside-choices", "string-for-flag", "number-for-times",
+        "list-for-f-grid", "number-for-outdir", "number-for-out",
+        "number-for-spectrum", "list-for-orders", "list-for-n-list",
+        "number-for-schema", "object-for-initial"])
 def test_cli_wrong_typed_config_default_exits_3(tmp_path, monkeypatch, capsys,
                                                 command, config):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     flags = {"synth": ["--spectrum", "zero", "--family", "cpmg", "--n-list",
                        "2", "--times", "1e-5:1e-4:3"],
-             "reconstruct": ["--mode", "sd", "--curves", "c.csv"]}[command]
+             "reconstruct": ["--mode", "sd", "--curves", "c.csv"],
+             "fit": ["--mode", "noise", "--curves", "c.csv"]}[command]
     rc = cli_main([command, *flags, "--config", "cfg.json"])
     assert rc == 3
     (key,) = config
@@ -531,3 +548,32 @@ def test_cli_malformed_integer_list_exits_3(tmp_path, monkeypatch, capsys,
     rc = cli_main(["synth", "--spectrum", "zero", "--family", "cpmg", *flags])
     assert rc == 3
     assert "comma-separated integers" in _one_line_error(capsys)
+
+
+_LIGHT_IMPORT_SCRIPT = """
+import sys
+import noisespec
+import noisespec.cli as cli
+outdir = sys.argv[1]
+assert cli.main(["ff", "--family", "cpmg", "--n", "16", "--duration", "1.6e-4",
+                 "--outdir", outdir + "/ff"]) == 0
+assert cli.main(["roundtrip", "--mode", "sd", "--rel-tol", "1e-3",
+                 "--epsilon", "0.02", "--bins", "24",
+                 "--outdir", outdir + "/rt"]) == 0
+heavy = ("scipy.optimize", "scipy.signal", "scipy.stats")
+print(",".join(m for m in heavy if m in sys.modules))
+"""
+
+
+def test_commands_that_fit_nothing_never_load_the_scipy_solvers(tmp_path):
+    # scipy.optimize and scipy.signal cost about a second of start-up; only
+    # the fits load them
+    src = str(Path(noisespec.fitting.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _LIGHT_IMPORT_SCRIPT,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == ""

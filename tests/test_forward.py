@@ -195,6 +195,32 @@ def test_filter_for_with_spectrum_is_the_synthesis_grid():
     assert curve.metadata["ff_grid_max"] == ff.omegas.size
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=64),
+       log_t=st.floats(min_value=math.log10(3e-6), max_value=math.log10(3e-2)),
+       frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_probe_grid_is_a_prefix_of_every_longer_grid(n, log_t, frac):
+    # filter_for extends the 40n probe grid by evaluating only the new tail
+    t = 10.0 ** log_t
+    z = 40.0 * n + frac * (8e4 - 40.0 * n)
+    probe = default_cpmg_omegas(n, t, z_max=40.0 * n)
+    longer = default_cpmg_omegas(n, t, z_max=z)
+    assert np.array_equal(longer[:probe.size], probe)
+
+
+@pytest.mark.parametrize("n, t, line", [
+    (1, 3e-5, False), (8, 3e-3, False), (64, 3e-4, False),
+    (3, 2e-4, True), (16, 1e-3, True),
+])
+def test_extended_filter_equals_the_closed_form_on_its_grid(n, t, line):
+    sigma = 2e5
+    bath = composite(5.0 * sigma, 0.1 * sigma, 8.0 * sigma, sigma, sigma) \
+        if line else lorentzian_dc(0.1 * sigma, sigma)
+    ff = filter_for(SequenceSpec.cpmg(n, duration=t), bath)
+    assert ff.omegas.size > cpmg_ff(n, t).omegas.size
+    assert np.array_equal(ff.values, cpmg_ff(n, t, ff.omegas).values)
+
+
 # --------------------------------------------------------------------------
 # Synthetic curve generation
 
