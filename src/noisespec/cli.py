@@ -48,7 +48,6 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance")
     common.add_argument("--config", default=None,
                         help="JSON file with default values for any option")
-    common.add_argument("--verbose", action="store_true")
     return common
 
 
@@ -144,7 +143,7 @@ def _emit(path: Path) -> Path:
 
 
 def _config_of(args) -> dict:
-    skip = {"func", "config", "verbose", "outdir"}
+    skip = {"func", "config", "outdir"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

@@ -2,9 +2,11 @@
 stretched-exponential envelopes, revival combs, and Gaussian peak fits on
 reconstructed spectra.
 
-The noise-model fit wraps the forward dephasing model; the other fits are
-nonlinear least squares on closed-form shapes.  All fits are deterministic
-given identical inputs.
+Every fit is one bounded trust-region least-squares solve
+(``scipy.optimize.least_squares``), and every fit takes its parameter
+variances from that solve's Jacobian.  The noise-model fit wraps the forward
+dephasing model; the other fits use closed-form shapes.  All fits are
+deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -139,23 +141,26 @@ def _noise_window(initial: np.ndarray,
 def fit_noise_params(curve: CoherenceCurve,
                      initial: dict[str, float] | None = None,
                      bounds: dict[str, tuple[float, float]] | None = None,
-                     max_iterations: int = 2000,
-                     rel_tol: float = 1e-8) -> FitResult:
+                     max_iterations: int = 2000) -> FitResult:
     """Fit the two-component noise model to one pulse-train curve.
 
     Minimizes the sum of squared coherence mismatches over gauss_delta,
     gauss_sigma, gauss_center, lorentz_delta, lorentz_sigma (rad/s) with a
-    bounded Nelder-Mead search, restarted on stall.  Because the objective
-    is quasi-periodic in the line center, the center is first located by a
-    one-dimensional scan over its bounded range before the joint search.
+    bounded trust-region least-squares solve, in coordinates scaled by the
+    initial guess.  Because the objective is quasi-periodic in the line
+    center, the center is first located by a one-dimensional scan over its
+    bounded range before the joint solve.
 
     ``bounds`` maps parameter names to (lo, hi); missing entries get a
-    default box around the initial guess.
+    default box around the initial guess.  ``max_iterations`` caps the
+    solver's residual evaluations, not counting those of its
+    finite-difference Jacobian.  ``metadata["at_bound"]`` names the
+    parameters the solver left on a bound of the box.
     """
     # scipy.optimize and scipy.signal (which loads scipy.stats) take about a
     # second to import; each fit imports what it calls, so that importing the
     # package and running the commands that fit nothing never load them.
-    from scipy.optimize import minimize
+    from scipy.optimize import least_squares
 
     if curve.abscissa_kind is not AbscissaKind.TIME:
         raise ValidationError("noise-model fit expects a TIME curve")
@@ -166,6 +171,8 @@ def fit_noise_params(curve: CoherenceCurve,
         raise ValidationError(f"initial guess missing {missing}")
     if not curve.sequence.family.pulsed:
         raise ValidationError("noise-model fit expects a pulse-train curve")
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be at least 1")
     x0 = np.array([float(initial[k]) for k in _NOISE_PARAM_ORDER])
     if np.any(x0 <= 0.0):
         raise ValidationError("initial noise parameters must be positive")
@@ -175,16 +182,12 @@ def fit_noise_params(curve: CoherenceCurve,
         lo, hi = (bounds or {}).get(name, (lo_f * x0[i], hi_f * x0[i]))
         if not lo <= x0[i] <= hi:
             raise ValidationError(f"initial {name} outside its bounds")
+        if not lo < hi:
+            raise ValidationError(f"bounds of {name} need lo < hi")
         box[name] = (float(lo), float(hi))
 
     table = _ChiTable(curve, _noise_window(x0, box))
     evals = 0
-
-    def cost(scaled: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        r = table.model_coherences(scaled * x0) - table.data
-        return float(r @ r)
 
     # comb-alignment scan over the line center.  The dephasing exponent is
     # linear in the squared couplings, so for each candidate center one
@@ -207,54 +210,32 @@ def fit_noise_params(curve: CoherenceCurve,
         if costs[j] < best_scan:
             best_scan, best_center, best_alpha = float(costs[j]), c, alphas[j]
 
-    scaled_bounds = [(box[k][0] / x0[i], box[k][1] / x0[i])
-                     for i, k in enumerate(_NOISE_PARAM_ORDER)]
-    root = math.sqrt(best_alpha)
-    start = np.array([root, 1.0, best_center / x0[2], root, 1.0])
-    start = np.clip(start, [b[0] for b in scaled_bounds],
-                    [b[1] for b in scaled_bounds])
-    best, best_cost = start, cost(start)
-    iterations = 0
-    converged = False
-    for _attempt in range(3):
-        res = minimize(cost, best, method="Nelder-Mead", bounds=scaled_bounds,
-                       options={"maxiter": max_iterations,
-                                "xatol": rel_tol,
-                                "fatol": rel_tol * max(best_cost, 1e-30),
-                                "adaptive": True})
-        iterations += res.nit
-        stalled = res.fun >= best_cost * (1.0 - 1e-12)
-        if res.fun < best_cost:
-            best, best_cost = res.x, res.fun
-        if res.success:
-            converged = True
-            break
-        if stalled:
-            break
-    params = best * x0
-
     def residuals(scaled: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += 1
         return table.model_coherences(scaled * x0) - table.data
 
-    # forward-difference Jacobian in the scaled coordinates, variances
-    # mapped back to rad/s
-    r0 = residuals(best)
-    jac = np.empty((r0.size, best.size))
-    for j in range(best.size):
-        step = best.copy()
-        step[j] += 1e-6
-        jac[:, j] = (residuals(step) - r0) / 1e-6
-    cov = _covariance(jac, r0, _NOISE_PARAM_ORDER)
+    lo = np.array([box[k][0] for k in _NOISE_PARAM_ORDER]) / x0
+    hi = np.array([box[k][1] for k in _NOISE_PARAM_ORDER]) / x0
+    root = math.sqrt(best_alpha)
+    start = np.clip([root, 1.0, best_center / x0[2], root, 1.0], lo, hi)
+    res = least_squares(residuals, start, bounds=(lo, hi),
+                        max_nfev=max_iterations)
+    # variances come out in the scaled coordinates; map them back to rad/s
+    cov = _covariance(res.jac, res.fun, _NOISE_PARAM_ORDER)
     if cov is not None:
         cov = {k: v * float(s) ** 2 for (k, v), s in zip(cov.items(), x0)}
     return FitResult(
-        parameters=dict(zip(_NOISE_PARAM_ORDER, params.tolist())),
+        parameters=dict(zip(_NOISE_PARAM_ORDER, (res.x * x0).tolist())),
         units={k: "rad/s" for k in _NOISE_PARAM_ORDER},
-        residual_norm=math.sqrt(best_cost),
-        covariance_diag=cov, converged=converged, iterations=iterations,
+        residual_norm=float(np.linalg.norm(res.fun)),
+        covariance_diag=cov, converged=bool(res.status > 0),
+        iterations=int(res.nfev),
         metadata={"n_points": table.data.size, "n_evaluations": evals,
                   "scanned_center": best_center,
-                  "scanned_power_scale": best_alpha})
+                  "scanned_power_scale": best_alpha,
+                  "at_bound": [k for k, m in zip(_NOISE_PARAM_ORDER,
+                                                 res.active_mask) if m]})
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +243,6 @@ def fit_noise_params(curve: CoherenceCurve,
 # ---------------------------------------------------------------------------
 
 def fit_envelope(times: np.ndarray, coherences: np.ndarray,
-                 initial_t2: float | None = None,
-                 initial_power: float = 1.5,
                  fix_power: float | None = None) -> FitResult:
     """Fit C(t) = exp(-(t/T2)^p), with p in (0, 4].
 
@@ -280,9 +259,9 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
     if np.any(cs <= 0.0) or np.any(cs > 1.0 + 1e-12):
         raise ValidationError("envelope fit expects coherences in (0, 1]")
     degenerate = bool(np.ptp(cs) < 1e-6)
-    if initial_t2 is None:
-        below = times[cs < math.exp(-1.0)]
-        initial_t2 = float(below[0]) if below.size else float(times[-1])
+    # start T2 at the first e^-1 crossing, the last time if there is none
+    below = times[cs < math.exp(-1.0)]
+    initial_t2 = float(below[0]) if below.size else float(times[-1])
 
     if fix_power is not None:
         if not 0.0 < fix_power <= 4.0:
@@ -300,7 +279,7 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
             return np.exp(-np.power(times / x[0], x[1]))
 
         res = least_squares(lambda x: model2(x) - cs,
-                            x0=[initial_t2, initial_power],
+                            x0=[initial_t2, 1.5],
                             bounds=([1e-12, 1e-3], [np.inf, 4.0]))
         t2, p = float(res.x[0]), float(res.x[1])
         cov = None if degenerate else _covariance(res.jac, res.fun, ("t2", "power"))
@@ -317,11 +296,10 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
 # revival comb
 # ---------------------------------------------------------------------------
 
-def fit_revival_comb(times: np.ndarray, coherences: np.ndarray,
-                     n_revivals: int = 7) -> FitResult:
-    """Fit an envelope-damped comb of Gaussian revivals.
+def fit_revival_comb(times: np.ndarray, coherences: np.ndarray) -> FitResult:
+    """Fit an envelope-damped comb of seven Gaussian revivals.
 
-    C(t) = exp(-(t * r)^p) * sum_{i=0}^{n-1} exp(-(t - i * t_rev)^2 / 2 w^2)
+    C(t) = exp(-(t * r)^p) * sum_{i=0}^{6} exp(-(t - i * t_rev)^2 / 2 w^2)
 
     The envelope is parameterized by the rate r = 1/T2 so that r = 0 (no
     decay) is an ordinary boundary point rather than an infinite parameter.
@@ -345,7 +323,7 @@ def fit_revival_comb(times: np.ndarray, coherences: np.ndarray,
     width0 = 0.2 * spacing0
     rate0 = 1.0 / float(times[-1])
 
-    idx = np.arange(n_revivals)
+    idx = np.arange(7)
 
     def model(x):
         rate, p, t_rev, w = x

@@ -320,9 +320,13 @@ def test_cli_malformed_grid_exits_3(tmp_path, capsys, token):
 
 
 def test_cli_bad_usage_exits_2():
-    with pytest.raises(SystemExit) as err:
-        cli_main(["ff", "--family", "not-a-family"])
-    assert err.value.code == 2
+    for argv in (["ff", "--family", "not-a-family"],
+                 # --verbose is not an option
+                 ["ff", "--family", "cpmg", "--n", "16", "--duration",
+                  "1.6e-4", "--verbose"]):
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert err.value.code == 2
 
 
 def test_cli_numeric_failure_exits_4(tmp_path, monkeypatch, small_curve):

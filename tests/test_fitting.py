@@ -12,6 +12,7 @@ from noisespec import (
     ReconstructedSpectrum,
     SequenceSpec,
     ValidationError,
+    add_measurement_noise,
     fit_envelope,
     fit_gaussian_peak,
     fit_noise_params,
@@ -188,6 +189,22 @@ def test_noise_fit_fixed_point_at_truth(bath):
     for name, truth in TRUTH.items():
         assert result[name] == pytest.approx(truth, rel=0.03), name
     assert result.metadata["n_points"] == 24
+    assert result.metadata["at_bound"] == []
+
+
+def test_noise_fit_reports_a_parameter_stopped_on_its_bound(bath):
+    # criterion-10 geometry, noise seed 0: one CPMG-8 curve barely constrains
+    # the Lorentzian background, and the solve drives its width down to the
+    # lower edge of the default box (0.05 x the guess, i.e. -90% of truth)
+    times = np.linspace(2.6e-5, 1.6e-3, 64)
+    (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n={8: times})
+    noisy = add_measurement_noise(curve, 0.01, seed=0)
+    initial = {k: 2.0 * v for k, v in TRUTH.items()}
+    result = fit_noise_params(noisy, initial=initial)
+    assert result.metadata["at_bound"] == ["lorentz_sigma"]
+    assert result["lorentz_sigma"] == pytest.approx(0.05 * 2.0 * 50e3,
+                                                    rel=1e-6)
+    assert result["gauss_center"] == pytest.approx(392e3, rel=0.02)
 
 
 def test_noise_fit_is_deterministic(bath):
@@ -217,6 +234,11 @@ def test_noise_fit_validation(bath):
     with pytest.raises(ValidationError):
         fit_noise_params(curve, initial=dict(TRUTH),
                          bounds={"gauss_center": (500e3, 600e3)})
+    with pytest.raises(ValidationError):
+        fit_noise_params(curve, initial=dict(TRUTH),
+                         bounds={"gauss_center": (392e3, 392e3)})
+    with pytest.raises(ValidationError):
+        fit_noise_params(curve, initial=dict(TRUTH), max_iterations=0)
 
 
 def test_fit_result_getitem():
