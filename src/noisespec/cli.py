@@ -48,6 +48,7 @@ def _common_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance")
     common.add_argument("--config", default=None,
                         help="JSON file with default values for any option")
+    common.add_argument("--out", default=None)
     return common
 
 
@@ -420,7 +421,6 @@ def build_parser(defaults: dict | None = None,
     p_ff = sub.add_parser("ff", parents=[common],
                           help="filter function table and peak statistics")
     _add_sequence_args(p_ff)
-    p_ff.add_argument("--out", default=None)
     p_ff.set_defaults(func=_cmd_ff)
 
     p_bw = sub.add_parser("bandwidth", parents=[common],
@@ -430,7 +430,6 @@ def build_parser(defaults: dict | None = None,
                       help="drive Rabi frequency [Hz]")
     p_bw.add_argument("--t2-echo", type=float, default=None)
     p_bw.add_argument("--margin", type=float, default=10.0)
-    p_bw.add_argument("--out", default=None)
     p_bw.set_defaults(func=_cmd_bandwidth)
 
     p_synth = sub.add_parser("synth", parents=[common],
@@ -450,7 +449,6 @@ def build_parser(defaults: dict | None = None,
                          help="revival orders, as comma-separated integers")
     p_synth.add_argument("--epsilon", type=float, default=0.0,
                          help="readout noise level")
-    p_synth.add_argument("--out", default=None)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_or = sub.add_parser("oracle", parents=[common],
@@ -460,7 +458,6 @@ def build_parser(defaults: dict | None = None,
     p_or.add_argument("--n-realizations", type=int, default=10_000)
     p_or.add_argument("--modes", type=int, default=1024)
     p_or.add_argument("--sample-rate", type=float, default=None)
-    p_or.add_argument("--out", default=None)
     p_or.set_defaults(func=_cmd_oracle)
 
     p_rec = sub.add_parser("reconstruct", parents=[common],
@@ -472,7 +469,6 @@ def build_parser(defaults: dict | None = None,
                        choices=["time_csv", "freq_csv"],
                        help="ingest raw CSVs instead of sidecar curves")
     _add_sequence_args(p_rec, required=False)
-    p_rec.add_argument("--out", default=None)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_fit = sub.add_parser("fit", parents=[common],
@@ -486,7 +482,6 @@ def build_parser(defaults: dict | None = None,
     p_fit.add_argument("--schema", default=None,
                        choices=["time_csv", "freq_csv"])
     _add_sequence_args(p_fit, required=False)
-    p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_rt = sub.add_parser("roundtrip", parents=[common],
@@ -496,7 +491,6 @@ def build_parser(defaults: dict | None = None,
     p_rt.add_argument("--epsilon", type=float, default=0.03)
     p_rt.add_argument("--duration", type=float, default=200e-6)
     p_rt.add_argument("--bins", type=int, default=None)
-    p_rt.add_argument("--out", default=None)
     p_rt.set_defaults(func=_cmd_roundtrip)
 
     if defaults and command in sub.choices:

@@ -4,9 +4,13 @@ reconstructed spectra.
 
 Every fit is one bounded trust-region least-squares solve
 (``scipy.optimize.least_squares``), and every fit takes its parameter
-variances from that solve's Jacobian.  The noise-model fit wraps the forward
-dephasing model; the other fits use closed-form shapes.  All fits are
-deterministic given identical inputs.
+variances from that solve's Jacobian.  The noise-model fit evaluates the
+forward dephasing model as chi = K @ S(grid): one frequency grid shared by
+every curve point, linear and fine across the window where the spectral line
+can sit, and a fixed matrix K of filter values times trapezoid weights, so a
+model evaluation is one spectrum call and one matrix-vector product.  The
+other fits use closed-form shapes.  All fits are deterministic given
+identical inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .filters import FilterFunction
 from .forward import AbscissaKind, CoherenceCurve, filter_for
 from .noise import NoiseSpectrum, composite
 from .reconstruct import ReconstructedSpectrum
@@ -81,54 +84,36 @@ def _spectrum_from(params: np.ndarray) -> NoiseSpectrum:
                      lorentz_delta=ld, lorentz_sigma=ls)
 
 
-class _ChiTable:
-    """Fixed quadrature grids, one per curve point.
+def _chi_operator(curve: CoherenceCurve,
+                  window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """One frequency grid for every curve point, and the (points x nodes)
+    matrix K with chi = K @ S(grid).
 
-    Every point's grid is the union of its filter's default grid, a linear
-    section fine enough to resolve the filter oscillation across the window
-    where the spectral line can sit, and a short geometric tail.  The grids
-    are concatenated so one model evaluation is a single vectorized spectrum
-    call followed by segmented dot products.
+    Inside ``window``, where the spectral line can sit, the grid is linear
+    with 16 samples per filter period of the longest duration, at least as
+    fine as every point's own oscillation; outside it the grid takes every
+    point's filter nodes, and a short geometric tail closes it.  Row i of K
+    is (t_i / 2) FF_i(grid) times the trapezoid weights.
     """
-
-    def __init__(self, curve: CoherenceCurve,
-                 window: tuple[float, float]) -> None:
-        grids = []
-        for t in curve.xs:
-            ff = filter_for(replace(curve.sequence, duration=float(t), tau_free=None))
-            grid = self._grid_for(ff, float(t), window)
-            vals = ff.evaluate(grid)
-            w = np.empty_like(grid)
-            w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-            w[0] = 0.5 * (grid[1] - grid[0])
-            w[-1] = 0.5 * (grid[-1] - grid[-2])
-            grids.append((grid, vals * w * 0.5 * float(t)))
-        self.omegas = np.concatenate([g for g, _ in grids])
-        self.weights = np.concatenate([w for _, w in grids])
-        self.offsets = np.concatenate(
-            [[0], np.cumsum([g.size for g, _ in grids])[:-1]])
-        self.data = np.asarray(curve.coherences, dtype=float)
-
-    @staticmethod
-    def _grid_for(ff: FilterFunction, t: float,
-                  window: tuple[float, float]) -> np.ndarray:
-        lo, hi = window
-        # 16 samples per filter oscillation: trapezoid error then largely
-        # cancels across periods under the slow spectral envelope
-        step = math.pi / (8.0 * t)
-        count = int((hi - lo) / step) + 2
-        parts = [ff.omegas,
-                 np.linspace(lo, hi, min(max(count, 32), 60_000)),
-                 np.geomspace(hi, 6.0 * hi, 33)]
-        grid = np.unique(np.concatenate(parts))
-        return grid[grid > 0.0]
-
-    def model_chis(self, params: np.ndarray) -> np.ndarray:
-        integrand = self.weights * _spectrum_from(params)(self.omegas)
-        return np.add.reduceat(integrand, self.offsets)
-
-    def model_coherences(self, params: np.ndarray) -> np.ndarray:
-        return np.exp(-self.model_chis(params))
+    lo, hi = window
+    filters = [filter_for(replace(curve.sequence, duration=float(t), tau_free=None))
+               for t in curve.xs]
+    # 16 samples per filter oscillation: trapezoid error then largely
+    # cancels across periods under the slow spectral envelope
+    step = math.pi / (8.0 * float(curve.xs[-1]))
+    count = int((hi - lo) / step) + 2
+    parts = [np.linspace(lo, hi, min(max(count, 32), 60_000)),
+             np.geomspace(hi, 6.0 * hi, 33)]
+    parts += [ff.omegas[(ff.omegas < lo) | (ff.omegas > hi)] for ff in filters]
+    grid = np.unique(np.concatenate(parts))
+    grid = grid[grid > 0.0]
+    w = np.empty_like(grid)
+    w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
+    w[0] = 0.5 * (grid[1] - grid[0])
+    w[-1] = 0.5 * (grid[-1] - grid[-2])
+    kernel = np.array([0.5 * float(t) * ff.evaluate(grid)
+                       for t, ff in zip(curve.xs, filters)])
+    return grid, kernel * w
 
 
 def _noise_window(initial: np.ndarray,
@@ -155,7 +140,8 @@ def fit_noise_params(curve: CoherenceCurve,
     default box around the initial guess.  ``max_iterations`` caps the
     solver's residual evaluations, not counting those of its
     finite-difference Jacobian.  ``metadata["at_bound"]`` names the
-    parameters the solver left on a bound of the box.
+    parameters the solver left on a bound of the box, and
+    ``metadata["grid_nodes"]`` is the size of the shared frequency grid.
     """
     # scipy.optimize and scipy.signal (which loads scipy.stats) take about a
     # second to import; each fit imports what it calls, so that importing the
@@ -186,7 +172,8 @@ def fit_noise_params(curve: CoherenceCurve,
             raise ValidationError(f"bounds of {name} need lo < hi")
         box[name] = (float(lo), float(hi))
 
-    table = _ChiTable(curve, _noise_window(x0, box))
+    grid, kernel = _chi_operator(curve, _noise_window(x0, box))
+    data = curve.coherences
     evals = 0
 
     # comb-alignment scan over the line center.  The dephasing exponent is
@@ -202,9 +189,9 @@ def fit_noise_params(curve: CoherenceCurve,
     params = x0.copy()
     for c in centers:
         params[2] = c
-        chis = table.model_chis(params)
+        chis = kernel @ _spectrum_from(params)(grid)
         evals += 1
-        r = np.exp(-alphas[:, None] * chis[None, :]) - table.data[None, :]
+        r = np.exp(-alphas[:, None] * chis[None, :]) - data[None, :]
         costs = np.einsum("ij,ij->i", r, r)
         j = int(np.argmin(costs))
         if costs[j] < best_scan:
@@ -213,7 +200,7 @@ def fit_noise_params(curve: CoherenceCurve,
     def residuals(scaled: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 1
-        return table.model_coherences(scaled * x0) - table.data
+        return np.exp(-(kernel @ _spectrum_from(scaled * x0)(grid))) - data
 
     lo = np.array([box[k][0] for k in _NOISE_PARAM_ORDER]) / x0
     hi = np.array([box[k][1] for k in _NOISE_PARAM_ORDER]) / x0
@@ -231,7 +218,8 @@ def fit_noise_params(curve: CoherenceCurve,
         residual_norm=float(np.linalg.norm(res.fun)),
         covariance_diag=cov, converged=bool(res.status > 0),
         iterations=int(res.nfev),
-        metadata={"n_points": table.data.size, "n_evaluations": evals,
+        metadata={"n_points": data.size, "n_evaluations": evals,
+                  "grid_nodes": grid.size,
                   "scanned_center": best_center,
                   "scanned_power_scale": best_alpha,
                   "at_bound": [k for k, m in zip(_NOISE_PARAM_ORDER,

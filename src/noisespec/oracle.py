@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,18 +99,7 @@ class McResult:
     work: int                      # realizations x modes + modes x runs
 
     def to_dict(self) -> dict:
-        return {
-            "coherence": self.coherence,
-            "stderr": self.stderr,
-            "chi_estimate": self.chi_estimate,
-            "chi_stderr": self.chi_stderr,
-            "chi_expected": self.chi_expected,
-            "n_realizations": self.n_realizations,
-            "seed": self.seed,
-            "n_modes": self.n_modes,
-            "omega_max": self.omega_max,
-            "work": self.work,
-        }
+        return asdict(self)
 
 
 def _constant_runs(values: np.ndarray):

@@ -12,7 +12,7 @@ averaged over noise seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,11 +111,7 @@ class MethodPeak:
     n_seeds: int
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "center_hz": self.center_hz,
-                "width_hz": self.width_hz,
-                "center_spread_hz": self.center_spread_hz,
-                "width_spread_hz": self.width_spread_hz,
-                "n_seeds": self.n_seeds}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

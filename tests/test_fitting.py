@@ -1,5 +1,6 @@
 """Least-squares fits: noise model, envelope, revival comb, Gaussian peak."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,21 @@ from noisespec import (
     SequenceSpec,
     ValidationError,
     add_measurement_noise,
+    chi,
+    filter_for,
     fit_envelope,
     fit_gaussian_peak,
     fit_noise_params,
     fit_revival_comb,
     synth_cpmg_family,
     synth_dysco_sweep,
+)
+from noisespec.fitting import (
+    _DEFAULT_BOUND_FACTORS,
+    _NOISE_PARAM_ORDER,
+    _chi_operator,
+    _noise_window,
+    _spectrum_from,
 )
 
 TRUTH = {"gauss_delta": 500e3, "gauss_sigma": 25e3, "gauss_center": 392e3,
@@ -178,9 +188,32 @@ def _bath_curve(bath, points=24):
     return curve
 
 
+def test_noise_fit_operator_matches_chi_at_the_box_corners(bath):
+    # criterion-10 geometry, guess 2x truth: wherever the default box lets
+    # the solver put the line, including its narrowest width at the shortest
+    # duration, the fit's K @ S must agree with the adaptive quadrature
+    times = np.linspace(2.6e-5, 1.6e-3, 16)
+    (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n={8: times})
+    guess = np.array([2.0 * TRUTH[k] for k in _NOISE_PARAM_ORDER])
+    box = {k: tuple(f * g for f in _DEFAULT_BOUND_FACTORS[k])
+           for k, g in zip(_NOISE_PARAM_ORDER, guess)}
+    grid, kernel = _chi_operator(curve, _noise_window(guess, box))
+    assert kernel.shape == (16, grid.size)
+    for center, sigma in itertools.product(box["gauss_center"],
+                                           box["gauss_sigma"]):
+        spectrum = _spectrum_from(
+            np.array([guess[0], sigma, center, guess[3], guess[4]]))
+        want = np.array([
+            chi(spectrum, filter_for(SequenceSpec.cpmg(8, duration=float(t)),
+                                     spectrum, 1e-6), rel_tol=1e-6)
+            for t in times])
+        got = kernel @ spectrum(grid)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-3, (center, sigma)
+
+
 def test_noise_fit_fixed_point_at_truth(bath):
     # Started at the generating parameters the fit must stay there up to the
-    # quadrature-grid mismatch between synthesis and the fit's cached grids.
+    # quadrature-grid mismatch between synthesis and the fit's shared grid.
     curve = _bath_curve(bath)
     result = fit_noise_params(curve, initial=dict(TRUTH),
                               max_iterations=1500)
@@ -190,6 +223,7 @@ def test_noise_fit_fixed_point_at_truth(bath):
         assert result[name] == pytest.approx(truth, rel=0.03), name
     assert result.metadata["n_points"] == 24
     assert result.metadata["at_bound"] == []
+    assert result.metadata["grid_nodes"] > 1000
 
 
 def test_noise_fit_reports_a_parameter_stopped_on_its_bound(bath):
