@@ -77,6 +77,10 @@ _DEFAULT_BOUND_FACTORS = {
     "lorentz_sigma": (0.05, 20.0),
 }
 
+# a parameter ending this close to an edge of its box, relative to the edge,
+# is on the bound; TRF's active set alone misses a stop just inside one
+_AT_BOUND_RTOL = 1e-5
+
 
 def _spectrum_from(params: np.ndarray) -> NoiseSpectrum:
     gd, gs, gc, ld, ls = params
@@ -140,8 +144,9 @@ def fit_noise_params(curve: CoherenceCurve,
     default box around the initial guess.  ``max_iterations`` caps the
     solver's residual evaluations, not counting those of its
     finite-difference Jacobian.  ``metadata["at_bound"]`` names the
-    parameters the solver left on a bound of the box, and
-    ``metadata["grid_nodes"]`` is the size of the shared frequency grid.
+    parameters the solver left on a bound of the box or within 1e-5 of it,
+    relative to the bound, and ``metadata["grid_nodes"]`` is the size of
+    the shared frequency grid.
     """
     # scipy.optimize and scipy.signal (which loads scipy.stats) take about a
     # second to import; each fit imports what it calls, so that importing the
@@ -208,6 +213,9 @@ def fit_noise_params(curve: CoherenceCurve,
     start = np.clip([root, 1.0, best_center / x0[2], root, 1.0], lo, hi)
     res = least_squares(residuals, start, bounds=(lo, hi),
                         max_nfev=max_iterations)
+    on_bound = ((res.active_mask != 0)
+                | np.isclose(res.x, lo, rtol=_AT_BOUND_RTOL, atol=0.0)
+                | np.isclose(res.x, hi, rtol=_AT_BOUND_RTOL, atol=0.0))
     # variances come out in the scaled coordinates; map them back to rad/s
     cov = _covariance(res.jac, res.fun, _NOISE_PARAM_ORDER)
     if cov is not None:
@@ -222,8 +230,8 @@ def fit_noise_params(curve: CoherenceCurve,
                   "grid_nodes": grid.size,
                   "scanned_center": best_center,
                   "scanned_power_scale": best_alpha,
-                  "at_bound": [k for k, m in zip(_NOISE_PARAM_ORDER,
-                                                 res.active_mask) if m]})
+                  "at_bound": [k for k, m in zip(_NOISE_PARAM_ORDER, on_bound)
+                               if m]})
 
 
 # ---------------------------------------------------------------------------

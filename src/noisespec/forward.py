@@ -85,11 +85,6 @@ class CoherenceCurve:
         object.__setattr__(self, "coherences", cs)
         object.__setattr__(self, "uncertainties", us)
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.xs.tolist(), self.coherences.tolist(),
-                        self.uncertainties.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # quadrature

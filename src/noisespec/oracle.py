@@ -11,7 +11,7 @@ coherence is exp(-<phi^2>/2), so both the direct average and the
 second-moment estimator are reported.
 
 The modes span (0, omega_max], by default the whole band the trace
-resolves, 2 pi / (oversample dt).  The midpoint sums over the trace are
+resolves, 2 pi / (10 dt).  The midpoint sums over the trace are
 taken one run of equal samples at a time: a run of m samples centred at c
 contributes D_m(omega) cos(omega c) (sin for the quadrature part), with the
 Dirichlet factor D_m = sin(m omega dt / 2) / sin(omega dt / 2), so a pulsed
@@ -19,7 +19,7 @@ trace costs modes x segments rather than modes x samples.  Per realization
 the phase is then phi = sum_k r_k cos(theta_k + psi_k) with
 r_k = A_k |I_k| and psi_k = arg I_k: one cosine per mode, evaluated for a
 block of realizations at once.  ``McResult.work`` counts realizations x
-modes plus modes x runs, the quantity ``McConfig.budget`` caps.
+modes plus modes x runs, which may not exceed 2e9 per call.
 
 The realization indices are split into contiguous, nearly equal ranges,
 one per CPU in the process's affinity, and each range is filled by a
@@ -45,6 +45,10 @@ from .sequences import SensitivityTrace
 _TWO_PI = 2.0 * math.pi
 # working-set size of one block in the mode-integral and realization kernels
 _BLOCK_BYTES = 4 << 20
+# samples per period of the highest mode: the trace must resolve it 10x over
+_OVERSAMPLE = 10.0
+# cap on McResult.work, to keep accidental huge runs from stalling the caller
+_WORK_BUDGET = 2_000_000_000
 
 
 def _usable_cpus() -> int:
@@ -60,27 +64,22 @@ class McConfig:
     """Monte Carlo controls.
 
     ``omega_max`` defaults to the band the trace resolves,
-    2 pi / (``oversample`` x trace spacing); the spectrum extent must lie
-    inside it.  An explicit ``omega_max`` must itself be resolved by the
-    ``oversample`` margin.  ``budget`` caps the work done, realizations x
-    modes plus modes x constant runs of the trace (``McResult.work``), to
-    keep accidental huge runs from stalling the caller.
+    2 pi / (10 x trace spacing); the spectrum extent must lie inside it.
+    An explicit ``omega_max`` must itself be resolved by that 10x margin.
+    The work done, realizations x modes plus modes x constant runs of the
+    trace (``McResult.work``), is capped at 2e9.
     """
 
     n_realizations: int = 10_000
     seed: int = 0
     spectral_components: int = 1024
     omega_max: float | None = None
-    oversample: float = 10.0
-    budget: int = 2_000_000_000
 
     def __post_init__(self) -> None:
         if self.n_realizations < 100:
             raise ValidationError("need at least 100 realizations")
         if self.spectral_components < 8:
             raise ValidationError("need at least 8 spectral components")
-        if self.oversample < 10.0:
-            raise ValidationError("oversample margin must be >= 10")
         if self.omega_max is not None and self.omega_max <= 0.0:
             raise ValidationError("omega_max must be positive")
 
@@ -148,21 +147,21 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
     # the trace must resolve the requested band or, when the band defaults
     # to the resolved one, the spectrum's own extent
     if cfg.omega_max is None:
-        needed, omega_max = spectrum.extent(), _TWO_PI / (cfg.oversample * dt)
+        needed, omega_max = spectrum.extent(), _TWO_PI / (_OVERSAMPLE * dt)
     else:
         needed = omega_max = cfg.omega_max
-    if dt * needed > _TWO_PI / cfg.oversample:
+    if dt * needed > _TWO_PI / _OVERSAMPLE:
         raise ValidationError(
             f"trace spacing {dt:.3e} s cannot resolve omega_max {needed:.3e} "
-            f"rad/s with a {cfg.oversample:g}x margin")
+            f"rad/s with a {_OVERSAMPLE:g}x margin")
     k = cfg.spectral_components
     n = cfg.n_realizations
     runs = _constant_runs(trace.values)
     work = n * k + k * int(runs[0].size)
-    if work > cfg.budget:
+    if work > _WORK_BUDGET:
         raise ValidationError(
             f"work of {work} (realizations x modes + modes x runs) exceeds "
-            f"the configured budget {cfg.budget}")
+            f"the work budget {_WORK_BUDGET}")
 
     d_omega = omega_max / k
     omegas = (np.arange(k) + 0.5) * d_omega

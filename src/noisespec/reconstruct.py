@@ -1,23 +1,25 @@
 """Spectrum reconstruction from measured coherence curves.
 
-Two routes:
+Two routes share one inversion and one clip rule.  A point's coherence C
+and uncertainty u are rescaled to unit contrast, c = C / a, and inverted as
+S = 2 (-ln c) / (t g) with 1-sigma 2 (u / a) / c / (t g), where g is the
+filter's weight; a point at or below zero, or above unity by more than three
+sigma, is flagged CLIPPED, carries NaN and is left out of everything
+downstream.
 
-* :func:`cpmg_sd` inverts a family of pulsed-train curves.  After rescaling
-  each curve to its short-time reference, the first-order estimate treats the
-  filter's main lobe as a rectangle of its full area A between the enclosing
-  minima, S0 = 2 chi / (t * A); a second pass walks the points from the
+* :func:`cpmg_sd` inverts a family of pulsed-train curves.  Each curve is
+  rescaled to its short-time reference, and the first-order estimate treats
+  the filter's main lobe as a rectangle of its full area A between the
+  enclosing minima (g = A); a second pass walks the points from the
   highest probe frequency downward and subtracts the filter weight that leaks
   onto already-reconstructed higher frequencies,
   S = S0 - (1/A) * integral_{lobe top}^{top} S_hat(w) FF(w) dw,
   interpolating S_hat linearly and taking it as zero above the highest probe.
   Results are binned into log-spaced bins whose spread gives the uncertainty.
 
-* :func:`direct_extract` inverts a continuous-carrier sweep point by point,
-  S(omega0) = -2 ln(C / a) / (t * gain), with the maximum contrast ``a``
-  estimated from the sweep's off-resonance plateau.
-
-Saturated points (coherence at or below zero, or above the plateau by more
-than three sigma) are flagged CLIPPED and excluded from the inversion.
+* :func:`direct_extract` inverts a continuous-carrier sweep point by point
+  (g = the filter's gain), with the maximum contrast ``a`` estimated
+  from the sweep's off-resonance plateau.
 """
 
 from __future__ import annotations
@@ -123,21 +125,23 @@ class CpmgFilterProvider:
         return _main_lobe(n)[3] / t
 
 
-@dataclass
-class _SdPoint:
-    omega0: float
-    s0: float
-    n: int
-    t: float
-    lobe_area: float
-    lobe_top: float
-    sigma_s: float
-    flag: int
-    value: float = math.nan
-
-
 # points averaged at each curve's shortest times for the unit-coherence reference
 _RESCALE_POINTS = 3
+
+
+def _invert(c_res: np.ndarray, u_res: np.ndarray, scale):
+    """(values, sigmas, flags) of S = 2 (-ln c) / scale from coherences and
+    uncertainties rescaled to unit contrast; CLIPPED points are NaN.  The
+    per-point ``math.log`` keeps bits that ``np.log`` does not always match.
+    """
+    flags = np.where((c_res <= 0.0) | (c_res > 1.0 + 3.0 * u_res),
+                     FLAG_CLIPPED, FLAG_OK)
+    ok = flags == FLAG_OK
+    chi = np.full(c_res.shape, math.nan)
+    sigma_chi = np.full(c_res.shape, math.nan)
+    chi[ok] = [-math.log(c) for c in c_res[ok].tolist()]
+    sigma_chi[ok] = u_res[ok] / c_res[ok]
+    return 2.0 * chi / scale, 2.0 * sigma_chi / scale, flags
 
 
 def cpmg_sd(curves: list[CoherenceCurve],
@@ -154,113 +158,94 @@ def cpmg_sd(curves: list[CoherenceCurve],
     """
     if not curves:
         raise ValidationError("cpmg_sd needs at least one curve")
-    points: list[_SdPoint] = []
+    columns = []        # (omega0, S0, sigma, flag, n, t) per curve
     for curve in curves:
         if curve.abscissa_kind is not AbscissaKind.TIME:
             raise ValidationError("cpmg_sd needs TIME-abscissa curves")
         if not curve.sequence.family.pulsed:
             raise ValidationError("cpmg_sd needs pulsed-family curves")
         n = curve.sequence.n_pulses
-        z0, _, area, z_top = _main_lobe(n)
+        z0, _, area, _ = _main_lobe(n)
         ref = float(np.mean(curve.coherences[:_RESCALE_POINTS]))
         if ref <= 0.0:
             raise ValidationError("short-time reference is non-positive; "
                                   "curve cannot be rescaled")
-        for t, c, u in zip(curve.xs, curve.coherences, curve.uncertainties):
-            c_res = c / ref
-            u_res = u / ref
-            flag = FLAG_OK
-            if c_res <= 0.0 or c_res > 1.0 + 3.0 * u_res:
-                flag = FLAG_CLIPPED
-                chi_val, sigma_chi = math.nan, math.nan
-            else:
-                chi_val = -math.log(c_res)
-                sigma_chi = u_res / c_res
-            s0 = 2.0 * chi_val / (t * area)
-            sigma_s = 2.0 * sigma_chi / (t * area)
-            points.append(_SdPoint(
-                omega0=z0 / t, s0=s0, n=n, t=float(t),
-                lobe_area=area, lobe_top=z_top / t,
-                sigma_s=sigma_s, flag=flag))
-    points.sort(key=lambda p: p.omega0)
-    _harmonic_correction(points)
-    return _assemble(points, Method.CPMG_SD, bin_count)
+        t = curve.xs
+        columns.append((z0 / t,
+                        *_invert(curve.coherences / ref,
+                                 curve.uncertainties / ref, t * area),
+                        np.full(t.size, n), t))
+    order = np.argsort(np.concatenate([c[0] for c in columns]), kind="stable")
+    omegas, s0, sigmas, flags, ns, ts = (
+        np.concatenate(col)[order] for col in zip(*columns))
+    ok = flags == FLAG_OK
+    values = np.full(omegas.size, math.nan)
+    values[ok] = _harmonic_correction(omegas[ok], s0[ok], ns[ok], ts[ok])
+    return _assemble(omegas, values, sigmas, flags, bin_count)
 
 
-def _harmonic_correction(points: list[_SdPoint]) -> None:
+def _harmonic_correction(omegas: np.ndarray, s0: np.ndarray, ns: np.ndarray,
+                         ts: np.ndarray) -> np.ndarray:
     """Subtract each filter's harmonic pickup of the estimated spectrum.
 
-    Sweeps once from the highest probe frequency downward so that every
-    correction integral only needs already-corrected estimates; the spectrum
-    is taken as zero beyond the highest measured frequency.  The pedestal
-    below the main lobe is left in by construction, which is what biases
-    pulsed-train estimates of a narrow line toward higher frequencies.
+    Takes the unclipped points sorted by probe frequency and returns their
+    corrected values.  Sweeps once from the highest probe frequency downward
+    so that every correction integral only needs already-corrected
+    estimates, the slice above the current point; the spectrum is taken as
+    zero beyond the highest measured frequency.  The pedestal below the main
+    lobe is left in by construction, which is what biases pulsed-train
+    estimates of a narrow line toward higher frequencies.
     """
-    valid_idx = [i for i, p in enumerate(points) if p.flag == FLAG_OK]
-    if not valid_idx:
+    if omegas.size == 0:
         raise ValidationError("every point is clipped; nothing to reconstruct")
-    known_w: list[float] = []          # ascending, already corrected
-    known_s: list[float] = []
-    omega_top = points[valid_idx[-1]].omega0
-    for i in reversed(valid_idx):
-        p = points[i]
-        lo = p.lobe_top
+    values = np.empty(omegas.size)      # filled from the top down
+    omega_top = omegas[-1]
+    for k in range(omegas.size - 1, -1, -1):
+        n, t = int(ns[k]), float(ts[k])
+        _, _, area, z_top = _main_lobe(n)
+        lo = z_top / t
         corr = 0.0
-        if known_w and lo < omega_top:
-            kw = np.asarray(known_w)
-            ks = np.asarray(known_s)
-            step = math.pi / (6.0 * p.t)          # resolves the filter comb
+        if k + 1 < omegas.size and lo < omega_top:
+            kw, ks = omegas[k + 1:], values[k + 1:]
+            step = math.pi / (6.0 * t)          # resolves the filter comb
             count = int((omega_top - lo) / step) + 2
             grid = np.linspace(lo, omega_top, min(max(count, 64), 120_000))
             grid = np.unique(np.concatenate([grid, kw[(kw > lo) & (kw < omega_top)]]))
             s_hat = np.interp(grid, kw, np.maximum(ks, 0.0),
                               left=max(ks[0], 0.0), right=0.0)
-            ff_vals = cpmg_ff(p.n, p.t, grid).values
-            corr = float(np.trapezoid(s_hat * ff_vals, grid)) / p.lobe_area
-        p.value = p.s0 - corr
-        known_w.insert(0, p.omega0)
-        known_s.insert(0, p.value)
+            ff_vals = cpmg_ff(n, t, grid).values
+            corr = float(np.trapezoid(s_hat * ff_vals, grid)) / area
+        values[k] = s0[k] - corr
+    return values
 
 
-def _assemble(points: list[_SdPoint], method: Method,
-              bin_count: int | None) -> ReconstructedSpectrum:
-    omegas = np.array([p.omega0 for p in points])
-    values = np.array([p.value for p in points])
-    sigmas = np.array([p.sigma_s for p in points])
-    flags = np.array([p.flag for p in points])
-    meta = {"n_points": len(points),
-            "n_clipped": int(np.count_nonzero(flags != FLAG_OK))}
+def _assemble(omegas: np.ndarray, values: np.ndarray, sigmas: np.ndarray,
+              flags: np.ndarray, bin_count: int | None) -> ReconstructedSpectrum:
     ok = flags == FLAG_OK
-    if np.any(ok):
-        top = omegas[ok] >= 0.5 * omegas[ok][-1]
-        if np.median(values[ok][top]) > 0.2 * np.max(values[ok]):
-            meta["warning"] = ("highest probed frequencies still carry significant "
-                               "power; reconstruction may be biased near the top")
+    w_ok, v_ok = omegas[ok], values[ok]
+    meta = {"n_points": omegas.size,
+            "n_clipped": int(np.count_nonzero(~ok))}
+    if np.median(v_ok[w_ok >= 0.5 * w_ok[-1]]) > 0.2 * np.max(v_ok):
+        meta["warning"] = ("highest probed frequencies still carry significant "
+                           "power; reconstruction may be biased near the top")
     if not bin_count:
-        return ReconstructedSpectrum(omegas, values, sigmas, flags, method,
-                                     metadata=meta)
-    w_ok = omegas[ok]
-    v_ok = values[ok]
+        return ReconstructedSpectrum(omegas, values, sigmas, flags,
+                                     Method.CPMG_SD, metadata=meta)
     if w_ok.size < 2:
         raise ValidationError("need at least two unclipped points to bin")
     edges = np.geomspace(w_ok[0] * (1 - 1e-12), w_ok[-1] * (1 + 1e-12),
                          int(bin_count) + 1)
     idx = np.clip(np.searchsorted(edges, w_ok, side="right") - 1, 0, bin_count - 1)
-    b_w, b_v, b_u, counts = [], [], [], []
-    for b in range(int(bin_count)):
-        mask = idx == b
-        if not np.any(mask):
-            continue
-        b_w.append(float(np.mean(w_ok[mask])))
-        b_v.append(float(np.mean(v_ok[mask])))
-        count = int(np.count_nonzero(mask))
-        b_u.append(float(np.std(v_ok[mask])) if count > 1 else 0.0)
-        counts.append(count)
-    bins = BinSet(edges=edges, counts=np.array(counts))
+    # the points are sorted, so each occupied bin is one contiguous run
+    cuts = np.flatnonzero(np.diff(idx)) + 1
+    runs = np.split(v_ok, cuts)
+    bins = BinSet(edges=edges, counts=np.array([v.size for v in runs]))
     meta["binned"] = True
     return ReconstructedSpectrum(
-        np.array(b_w), np.array(b_v), np.array(b_u),
-        np.zeros(len(b_w), dtype=int), method, bins=bins, metadata=meta)
+        np.array([np.mean(w) for w in np.split(w_ok, cuts)]),
+        np.array([np.mean(v) for v in runs]),
+        np.array([np.std(v) for v in runs]),
+        np.zeros(len(runs), dtype=int), Method.CPMG_SD, bins=bins, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +270,15 @@ def direct_extract(curve: CoherenceCurve,
     a = plateau_contrast(curve) if contrast is None else float(contrast)
     if a <= 0.0:
         raise ValidationError("sweep contrast must be positive")
-    t = template.duration
     gain = peak_stats(filter_for(template)).gain
-    omegas = _TWO_PI * curve.xs
-    values = np.empty_like(omegas)
-    sigmas = np.zeros_like(omegas)
-    flags = np.zeros(omegas.size, dtype=int)
-    for i, (c, u) in enumerate(zip(curve.coherences, curve.uncertainties)):
-        c_res = c / a
-        if c_res <= 0.0 or c_res > 1.0 + 3.0 * u / a:
-            flags[i] = FLAG_CLIPPED
-            values[i] = math.nan
-            sigmas[i] = math.nan
-            continue
-        values[i] = -2.0 * math.log(c_res) / (t * gain)
-        if u > 0.0:
-            sigmas[i] = 2.0 * u / (a * c_res * t * gain)
+    values, sigmas, flags = _invert(curve.coherences / a, curve.uncertainties / a,
+                                    template.duration * gain)
     method = Method.GDYSCO_DIRECT if template.family is Family.GDYSCO \
         else Method.DYSCO_DIRECT
     meta = {"contrast": a, "gain": gain,
             "n_clipped": int(np.count_nonzero(flags != FLAG_OK))}
-    return ReconstructedSpectrum(omegas, values, sigmas, flags, method,
-                                 metadata=meta)
+    return ReconstructedSpectrum(_TWO_PI * curve.xs, values, sigmas, flags,
+                                 method, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

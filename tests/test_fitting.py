@@ -241,6 +241,20 @@ def test_noise_fit_reports_a_parameter_stopped_on_its_bound(bath):
     assert result["gauss_center"] == pytest.approx(392e3, rel=0.02)
 
 
+def test_noise_fit_reports_a_stop_just_inside_a_bound(bath):
+    # the README `fit --mode noise --initial default` example: the solve ends
+    # a few 1e-6 above the lower edge of lorentz_sigma's box, inside the
+    # solver's own active-set tolerance but still on the bound
+    grid = {8: np.geomspace(3e-5, 3e-3, 12)}
+    (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n=grid)
+    noisy = add_measurement_noise(curve, 0.02, 6)
+    result = fit_noise_params(noisy, initial=dict(TRUTH))
+    floor = 0.05 * TRUTH["lorentz_sigma"]
+    assert result["lorentz_sigma"] != floor
+    assert result["lorentz_sigma"] == pytest.approx(floor, rel=1e-5)
+    assert result.metadata["at_bound"] == ["lorentz_sigma"]
+
+
 def test_noise_fit_is_deterministic(bath):
     curve = _bath_curve(bath, points=12)
     a = fit_noise_params(curve, initial=dict(TRUTH), max_iterations=400)

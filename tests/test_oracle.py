@@ -296,8 +296,6 @@ def test_config_validation():
         McConfig(n_realizations=50)
     with pytest.raises(ValidationError):
         McConfig(spectral_components=4)
-    with pytest.raises(ValidationError):
-        McConfig(oversample=5.0)
 
 
 def test_budget_guard(bath):

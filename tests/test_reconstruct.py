@@ -116,11 +116,14 @@ def test_binned_uncertainty_is_the_spread_of_its_bin(dc_lorentzian):
     binned = cpmg_sd(curves, bin_count=6)
     w, v = raw.omegas[raw.valid], raw.values[raw.valid]
     edges = binned.bins.edges
-    spreads = [float(np.std(v[(w >= lo) & (w < hi)]))
-               for lo, hi in zip(edges[:-1], edges[1:])
-               if np.any((w >= lo) & (w < hi))]
+    masks = [(w >= lo) & (w < hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    masks = [m for m in masks if np.any(m)]
+    spreads = [float(np.std(v[m])) for m in masks]
     assert np.count_nonzero(spreads) >= 2
     assert binned.uncertainties.tolist() == pytest.approx(spreads, rel=1e-12)
+    # the per-bin mask loop is the reference for the binned means, bit for bit
+    assert binned.omegas.tolist() == [float(np.mean(w[m])) for m in masks]
+    assert binned.values.tolist() == [float(np.mean(v[m])) for m in masks]
 
 
 def test_sd_requires_pulsed_time_curves(bath):
@@ -220,6 +223,44 @@ def test_direct_extract_flags_out_of_range_points():
     assert recon.flags[1] == FLAG_CLIPPED
     assert recon.flags[2] == FLAG_CLIPPED
     assert recon.metadata["n_clipped"] == 2
+
+
+# Both routes share one clip rule: with u = 0.01 a rescaled coherence of
+# exactly 1 + 3u is kept, the next double above it is clipped, and so is 0.
+_EDGE = 1.0 + 3.0 * 0.01
+_CLIP_CASES = np.array([1.0, 1.0, 1.0, _EDGE, np.nextafter(_EDGE, 2.0), 0.0, 0.5])
+_CLIPPED = np.array([False, False, False, False, True, True, False])
+
+
+def _sd_route(cs):
+    # the plateau head of three 1.0 points makes the rescale reference 1.0
+    xs = np.geomspace(5e-5, 5e-4, cs.size)
+    curve = CoherenceCurve(
+        abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=cs,
+        uncertainties=np.full(cs.size, 0.01),
+        sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
+        swept="duration", provenance=Provenance("synthetic"))
+    recon = cpmg_sd([curve], bin_count=None)
+    return recon.flags[::-1], recon.values[::-1]    # omega0 falls as t grows
+
+
+def _direct_route(cs):
+    xs = np.linspace(5e4, 2e5, cs.size)
+    curve = CoherenceCurve(
+        abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
+        uncertainties=np.full(cs.size, 0.01),
+        sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
+        swept="mod_frequency", provenance=Provenance("synthetic"))
+    recon = direct_extract(curve, contrast=1.0)
+    return recon.flags, recon.values
+
+
+@pytest.mark.parametrize("route", [_sd_route, _direct_route],
+                         ids=["cpmg_sd", "direct_extract"])
+def test_clip_boundary_is_shared_by_both_routes(route):
+    flags, values = route(_CLIP_CASES)
+    assert np.array_equal(flags, np.where(_CLIPPED, FLAG_CLIPPED, FLAG_OK))
+    assert np.array_equal(np.isnan(values), _CLIPPED)
 
 
 def test_direct_extract_rejects_time_curves(bath):
