@@ -342,7 +342,8 @@ def _cmd_fit(args) -> int:
         if curve.abscissa_kind is not AbscissaKind.TIME:
             raise ValidationError(f"{args.mode} fit needs a TIME curve")
         if args.mode == "envelope":
-            result = fitting.fit_envelope(curve.xs, curve.coherences)
+            result = fitting.fit_envelope(curve.xs, curve.coherences,
+                                          uncertainties=curve.uncertainties)
         else:
             result = fitting.fit_revival_comb(curve.xs, curve.coherences)
     else:

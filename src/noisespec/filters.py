@@ -46,7 +46,9 @@ class FilterFunction:
     ``values`` carry units of seconds.  Analytic families attach a vectorized
     evaluator used for off-grid queries; numeric tables fall back to linear
     interpolation (zero outside the grid).  ``tail_coefficient`` scales the
-    1/omega^2 envelope used for coverage estimates past the grid.
+    1/omega^2 envelope used for coverage estimates past the grid.  An
+    analytic filter also carries its closed form as the one-row
+    :class:`FilterRows` ``rows``.
     """
 
     omegas: np.ndarray
@@ -56,6 +58,7 @@ class FilterFunction:
     evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
     tail_coefficient: float = field(default=0.0, repr=False, compare=False)
+    rows: "FilterRows | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.omegas.ndim != 1 or self.omegas.shape != self.values.shape:
@@ -76,12 +79,121 @@ class FilterFunction:
     def tail_envelope(self, omega: np.ndarray) -> np.ndarray:
         """Upper estimate of FF beyond the tabulated grid (1/omega^2 decay)."""
         w = np.asarray(omega, dtype=float)
-        if self.source is FFSource.ANALYTIC_GDYSCO:
-            return self.evaluate(w)
-        return self.tail_coefficient / np.maximum(w, 1e-300) ** 2
+        if self.rows is not None:
+            return self.rows.envelope(w, 0)
+        return _inverse_square(self.tail_coefficient, w)
 
     def total_area(self) -> float:
         return float(np.trapezoid(self.values, self.omegas))
+
+
+def _inverse_square(coef, w: np.ndarray) -> np.ndarray:
+    return coef / np.maximum(w, 1e-300) ** 2
+
+
+@dataclass(frozen=True)
+class FilterRows:
+    """Closed-form filter functions of a batch of sequences, one per row.
+
+    The rows differ only in duration (a pulsed family at one pulse count)
+    or only in modulation frequency (one carrier template); ``of`` reads
+    everything else from the first sequence.  Each method takes angular
+    frequencies ``w`` whose last axis runs over the rows ``rows`` (an index
+    array of that length), or a single row index.
+    """
+
+    family: Family
+    durations: np.ndarray
+    n_pulses: int = 0
+    w0: np.ndarray | None = None
+    envelope_sigma: float = 0.0
+    amplitude: float = 1.0
+
+    @classmethod
+    def of(cls, specs) -> "FilterRows":
+        first = specs[0]
+        t = np.array([spec.duration for spec in specs], dtype=float)
+        if first.family.pulsed:
+            return cls(first.family, t, n_pulses=first.n_pulses)
+        return cls(first.family, t,
+                   w0=_TWO_PI * np.array([s.mod_frequency for s in specs]),
+                   envelope_sigma=first.envelope_sigma or 0.0,
+                   amplitude=first.amplitude)
+
+    def values(self, w: np.ndarray, rows) -> np.ndarray:
+        """FF of each row."""
+        if self.family.pulsed:
+            return _cpmg_values(w, self.n_pulses, self.durations[rows])
+        t = float(self.durations[0])
+        if self.family is Family.GDYSCO:
+            return _gdysco_values(w, self.w0[rows], t, self.envelope_sigma,
+                                  self.amplitude)
+        return _dysco_values(w, self.w0[rows], t, self.amplitude)
+
+    def tail_coefficients(self) -> np.ndarray:
+        """Per-row scale of the 1/omega^2 tail envelope (0 for GDYSCO,
+        whose envelope is its own Gaussian line)."""
+        if self.family.pulsed:
+            # comb lobes average ~0.4*omega0/w^2 of area density; keep a
+            # 2x cushion
+            return math.pi * self.n_pulses / self.durations
+        if self.family is Family.GDYSCO:
+            return np.zeros(self.durations.size)
+        # sinc^2(x) <= 1/x^2, evaluated a few lobes past the grid edge
+        a = self.amplitude
+        return np.full(self.durations.size, a * a / (math.pi * self.durations[0]))
+
+    def envelope(self, w: np.ndarray, rows) -> np.ndarray:
+        """Upper estimate of each row's FF past its grid."""
+        if self.family is Family.GDYSCO:
+            return self.values(w, rows)
+        return _inverse_square(self.tail_coefficients()[rows], w)
+
+    def comb_start(self, hi: np.ndarray, rows) -> np.ndarray:
+        """Where the rows' combs may be replaced by their period mean, for
+        a spectrum that is smooth on the scale of omega past ``hi``.
+
+        A pulse train's |F|^2 is a cosine series in omega whose lags are
+        multiples of t / (2n), so past the first multiple of 2 pi n / t at
+        or beyond max(``hi``, 40 n / t) every lag's phase starts at a zero
+        of its sine, and integral S * (FF - mean) beyond that point is the
+        second-order remainder of ``comb_remainder``.  Carriers have no
+        comb (inf).
+        """
+        if not self.family.pulsed:
+            return np.full(np.shape(hi), np.inf)
+        t = self.durations[rows]
+        half_period = _TWO_PI * self.n_pulses / t
+        lo = np.maximum(hi, 40.0 * self.n_pulses / t)
+        return np.ceil(lo / half_period) * half_period
+
+    def comb_remainder(self, start: np.ndarray, rows) -> np.ndarray:
+        """q per row such that integral_start^inf S (FF - comb mean) d omega
+        is -q G'(start), up to a fourth-order term, for G = S / omega^2
+        smooth past a ``comb_start`` point ``start``.
+
+        omega^2 FF pi t = sum_ij c_i c_j cos(omega (t_i - t_j)) over the
+        trace's jumps c_i at times t_i; integrating each cosine of the
+        pairs i != j by parts twice leaves -G' cos / lag^2 at ``start``,
+        where every sine vanishes."""
+        n = self.n_pulses
+        times = np.concatenate([[0.0], (np.arange(1, n + 1) - 0.5) / n, [1.0]])
+        jumps = np.concatenate([[-1.0], 2.0 * (-1.0) ** np.arange(n),
+                                [(-1.0) ** n]])
+        i, j = np.triu_indices(n + 2, 1)
+        lag, pair = times[j] - times[i], jumps[i] * jumps[j]
+        t = self.durations[rows]
+        q = np.array([np.sum(pair * np.cos(z * lag) / lag ** 2)
+                      for z in start * t])
+        return 2.0 * q / (math.pi * t ** 3)
+
+    def comb_mean(self, w: np.ndarray, rows) -> np.ndarray:
+        """Each pulsed row's FF averaged over its comb period: the pulse
+        train's transform has n interior coefficients of modulus 2 and two
+        end coefficients of modulus 1, so the mean of |F|^2 omega^2 is
+        4n + 2 (Parseval)."""
+        return _inverse_square(
+            (4.0 * self.n_pulses + 2.0) / (math.pi * self.durations[rows]), w)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +262,17 @@ def cpmg_ff(n_pulses: int, duration: float,
     if omegas is None:
         omegas = default_cpmg_omegas(n, t)
     omegas = np.asarray(omegas, dtype=float)
-    values = _cpmg_values(omegas, n, t)
-    # comb lobes average ~0.4*omega0/w^2 of area density; keep a 2x cushion
-    tail = 1.0 * (math.pi * n / t)
-    return FilterFunction(omegas, values, t, FFSource.ANALYTIC_CPMG,
-                          evaluator=lambda w: _cpmg_values(w, n, t),
-                          tail_coefficient=tail)
+    return _analytic_ff(FilterRows(Family.CPMG, np.array([t]), n_pulses=n),
+                        omegas, FFSource.ANALYTIC_CPMG)
+
+
+def _analytic_ff(rows: FilterRows, omegas: np.ndarray,
+                 source: FFSource) -> FilterFunction:
+    return FilterFunction(omegas, rows.values(omegas, 0),
+                          float(rows.durations[0]), source,
+                          evaluator=lambda w: rows.values(w, 0),
+                          tail_coefficient=float(rows.tail_coefficients()[0]),
+                          rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +314,12 @@ def dysco_ff(spec: SequenceSpec, omegas: np.ndarray | None = None) -> FilterFunc
     """
     if spec.family.pulsed:
         raise ValidationError("dysco_ff needs a continuous-family spec")
-    t = spec.duration
-    w0 = _TWO_PI * spec.mod_frequency
     if omegas is None:
         omegas = default_continuous_omegas(spec)
     omegas = np.asarray(omegas, dtype=float)
-    if spec.family is Family.GDYSCO:
-        sig, amp = spec.envelope_sigma, spec.amplitude
-        ev = lambda w: _gdysco_values(w, w0, t, sig, amp)  # noqa: E731
-        src = FFSource.ANALYTIC_GDYSCO
-        tail = 0.0
-    else:
-        amp = spec.amplitude
-        ev = lambda w: _dysco_values(w, w0, t, amp)  # noqa: E731
-        src = FFSource.ANALYTIC_DYSCO
-        # sinc^2(x) <= 1/x^2, evaluated a few lobes past the grid edge
-        tail = amp * amp / (math.pi * t)
-    return FilterFunction(omegas, ev(omegas), t, src, evaluator=ev,
-                          tail_coefficient=tail)
+    src = FFSource.ANALYTIC_GDYSCO if spec.family is Family.GDYSCO \
+        else FFSource.ANALYTIC_DYSCO
+    return _analytic_ff(FilterRows.of([spec]), omegas, src)
 
 
 # ---------------------------------------------------------------------------

@@ -239,21 +239,30 @@ def fit_noise_params(curve: CoherenceCurve,
 # ---------------------------------------------------------------------------
 
 def fit_envelope(times: np.ndarray, coherences: np.ndarray,
-                 fix_power: float | None = None) -> FitResult:
+                 fix_power: float | None = None,
+                 uncertainties: np.ndarray | None = None) -> FitResult:
     """Fit C(t) = exp(-(t/T2)^p), with p in (0, 4].
 
-    ``fix_power`` freezes the exponent and fits T2 alone.
+    ``fix_power`` freezes the exponent and fits T2 alone.  Each coherence
+    must lie in (-3u, 1 + 3u], u being its ``uncertainties`` entry (0 by
+    default): readout noise may carry a point up to 3 sigma past 0 or 1,
+    as in the CLIPPED rule of the spectral inversions.
     """
     from scipy.optimize import least_squares
 
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
-    if times.size != cs.size or times.size < 4:
+    us = np.zeros_like(cs) if uncertainties is None \
+        else np.asarray(uncertainties, dtype=float)
+    if times.size != cs.size or us.shape != cs.shape or times.size < 4:
         raise ValidationError("envelope fit needs >= 4 matched points")
     if np.any(times <= 0.0):
         raise ValidationError("envelope fit needs positive times")
-    if np.any(cs <= 0.0) or np.any(cs > 1.0 + 1e-12):
-        raise ValidationError("envelope fit expects coherences in (0, 1]")
+    if not np.all(us >= 0.0):
+        raise ValidationError("uncertainties must be non-negative")
+    if np.any(cs <= -3.0 * us) or np.any(cs > 1.0 + 3.0 * us + 1e-12):
+        raise ValidationError(
+            "envelope fit expects coherences in (-3u, 1 + 3u]")
     degenerate = bool(np.ptp(cs) < 1e-6)
     # start T2 at the first e^-1 crossing, the last time if there is none
     below = times[cs < math.exp(-1.0)]

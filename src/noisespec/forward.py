@@ -1,11 +1,19 @@
 """Forward model: dephasing exponents and synthetic coherence curves.
 
 chi(t) = (t/2) * integral_0^inf S(omega) FF(omega) d omega, C = exp(-chi).
-The quadrature is a composite trapezoid that starts from the union of the
-filter grid and the spectrum's refinement abscissas, then bisects intervals
-locally until the relative error estimate is below tolerance; an envelope
-tail check extends the upper cutoff (or rejects tabulated filters that would
-truncate significant weight).
+The quadrature is adaptive Gauss-Kronrod G7/K15 on panels whose first edges
+are every 32nd filter node, the spectrum's refinement points (every 32nd of
+an analytic spectrum's, every node of a table) and a geometric run past the
+filter grid; panels are bisected until the summed |K15 - G7| is below
+tolerance.  Past the grid and the spectrum's lines, a pulse comb's narrow
+lobes are integrated as the comb's exact period mean (4n + 2) / (pi t w^2),
+from a point where every term of the comb's cosine series has a vanishing
+sine; before that point, panels stay narrower than a lobe, and the point
+moves out while the mean's leading remainder is not negligible.  An
+envelope tail check extends the upper cutoff (or rejects tabulated filters
+that would truncate significant weight).  One core integrates many rows at once:
+``chi_detailed`` is a batch of one, and curve synthesis integrates a whole
+curve in one pass, each point bit for bit as it would be alone.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import CoverageError, NumericError, ValidationError
-from .filters import FFSource, FilterFunction, cpmg_ff, default_cpmg_omegas, \
-    dysco_ff
+from .filters import FFSource, FilterFunction, FilterRows, cpmg_ff, \
+    default_cpmg_omegas, dysco_ff
 from .noise import ComponentKind, NoiseSpectrum
 from .sequences import SequenceSpec
 
@@ -90,44 +98,253 @@ class CoherenceCurve:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _refine_trapezoid(fun, x0: np.ndarray, rel_tol: float,
-                      max_rounds: int = 14, max_points: int = 400_000):
-    x = np.unique(np.asarray(x0, dtype=float))
-    if x.size < 2:
-        raise NumericError("quadrature grid needs at least two points")
-    y = fun(x)
-    total = float(np.trapezoid(y, x))
-    for _ in range(max_rounds):
-        h = np.diff(x)
-        xm = x[:-1] + 0.5 * h
-        ym = fun(xm)
-        fine = 0.25 * h * (y[:-1] + 2.0 * ym + y[1:])
-        err = np.abs(fine - 0.5 * h * (y[:-1] + y[1:]))
-        total = float(np.sum(fine))
-        scale = max(abs(total), 1e-300)
-        err_sum = float(np.sum(err))
-        if err_sum <= rel_tol * scale:
-            return total, err_sum / scale, x.size + xm.size
-        if x.size >= max_points:
-            break
-        keep = err > (rel_tol * scale) / max(err.size, 1)
+# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK qk15), nodes ascending; the
+# seven Gauss nodes are the odd-indexed Kronrod nodes.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_X = np.array([-x for x in _XK] + [0.0] + list(_XK[::-1]))
+_GK_WK = np.array(_WK + _WK[-2::-1])
+_GK_WG = np.array(_WG + _WG[-2::-1])
+_GK_BLOCK = 512           # panels per evaluation block
+_EDGE_STRIDE = 32         # filter and spectrum nodes per initial panel
+_LOBE_PANEL_Z = 4.0 * math.pi   # widest panel (in omega * t) across a comb
+
+
+def _grid_edges(omegas: np.ndarray) -> np.ndarray:
+    """First panel edges of a filter grid: every 32nd node and the last."""
+    return np.append(omegas[::_EDGE_STRIDE], omegas[-1])
+
+
+class _OneFilter:
+    """A FilterFunction as a batch of one row, in ``FilterRows``' terms.
+
+    FF itself is read through ``ff.evaluate``, so a replaced evaluator or a
+    tabulated grid is what gets integrated."""
+
+    def __init__(self, ff: FilterFunction):
+        self.ff = ff
+
+    def values(self, w, rows):
+        return self.ff.evaluate(w)
+
+    def envelope(self, w, rows):
+        return self.ff.tail_envelope(w)
+
+    def comb_start(self, hi, rows):
+        if self.ff.rows is None:
+            return np.full(np.shape(hi), np.inf)
+        return self.ff.rows.comb_start(hi, rows)
+
+    def comb_mean(self, w, rows):
+        return self.ff.rows.comb_mean(w, rows)
+
+    def comb_remainder(self, start, rows):
+        return self.ff.rows.comb_remainder(start, rows)
+
+
+def _gk_panels(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
+               rows: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """K15 and G7 estimates of integral S * FF over each panel [a, b], FF
+    being the filter of the panel's row, or its comb's period mean on a
+    panel at or past the row's ``comb`` start.  Every value depends on its
+    own panel only, so a row's panels give the same bits in any batch."""
+    k, g = np.empty(a.size), np.empty(a.size)
+    for s in range(0, a.size, _GK_BLOCK):
+        sl = slice(s, s + _GK_BLOCK)
+        half = 0.5 * (b[sl] - a[sl])
+        w = (a[sl] + half) + half * _GK_X[:, None]
+        mean = a[sl] >= comb[rows[sl]]
+        if np.any(mean):
+            exact = ~mean
+            ff = np.empty_like(w)
+            ff[:, exact] = filters.values(w[:, exact], rows[sl][exact])
+            ff[:, mean] = filters.comb_mean(w[:, mean], rows[sl][mean])
+        else:
+            ff = filters.values(w, rows[sl])
+        f = spectrum.eval(w) * ff
+        ks, gs = f[0] * _GK_WK[0], f[1] * _GK_WG[0]
+        for j in range(1, 15):
+            ks = ks + f[j] * _GK_WK[j]
+        for j in range(1, 7):
+            gs = gs + f[2 * j + 1] * _GK_WG[j]
+        k[sl], g[sl] = half * ks, half * gs
+    return k, g
+
+
+def _gk_rows(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
+             ids: np.ndarray, edges: list, rel_tol: float,
+             max_rounds: int = 14, max_nodes: int = 400_000):
+    """Adaptive G7/K15 integral of S * FF for the filter rows ``ids`` over
+    their panel edges ``edges``.
+
+    All rows refine in lock step, each by its own rule: a row stops once
+    sum |K15 - G7| <= rel_tol * |sum K15|, and otherwise bisects every panel
+    whose |K15 - G7| exceeds rel_tol * |sum K15| / panels.  Panels stay
+    grouped by row and ascending within it, and rows are summed with
+    ``np.add.reduceat``, so a row's result does not depend on the batch.
+    Returns the per-row integral, achieved relative error and evaluations.
+    """
+    counts = np.array([e.size - 1 for e in edges])
+    rows = np.repeat(np.arange(len(edges)), counts)
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
+    k, g = _gk_panels(spectrum, filters, comb, ids[rows], a, b)
+    nodes = 15 * counts
+    value, rel_err = np.empty(len(edges)), np.empty(len(edges))
+    for rnd in range(max_rounds + 1):
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        local, panels = rows[starts], np.diff(np.r_[starts, rows.size])
+        diff = np.abs(k - g)
+        total = np.add.reduceat(k, starts)
+        err = np.add.reduceat(diff, starts)
+        scale = np.maximum(np.abs(total), 1e-300)
+        value[local], rel_err[local] = total, err / scale
+        split = diff > np.repeat(rel_tol * scale / panels, panels)
+        open_ = (err > rel_tol * scale) & np.logical_or.reduceat(split, starts)
+        stalled = open_ & ((rnd == max_rounds) | (15 * panels >= max_nodes))
+        bad = stalled & (err > 50.0 * rel_tol * scale)
+        if np.any(bad):
+            worst = float(np.max(rel_err[local[bad]]))
+            raise NumericError(f"quadrature stalled at relative error "
+                               f"{worst:.2e} (tolerance {rel_tol:.0e})")
+        keep = np.repeat(open_ & ~stalled, panels)
         if not np.any(keep):
-            return total, err_sum / scale, x.size + xm.size
-        x = np.concatenate([x, xm[keep]])
-        y = np.concatenate([y, ym[keep]])
-        order = np.argsort(x, kind="stable")
-        x, y = x[order], y[order]
-    if err_sum <= 50.0 * rel_tol * scale:
-        return total, err_sum / scale, x.size + xm.size
-    raise NumericError(
-        f"quadrature stalled at relative error {err_sum / scale:.2e} "
-        f"(tolerance {rel_tol:.0e})")
+            break
+        rows, a, b, k, g, split = (x[keep] for x in (rows, a, b, k, g, split))
+        # bisect in place: a split panel becomes (a, m), (m, b) where it was
+        width = 1 + split
+        left = (np.cumsum(width) - width)[split]
+        right = left + 1
+        m = 0.5 * (a[split] + b[split])
+        idx = np.repeat(np.arange(rows.size), width)
+        rows, a, b, k, g = (x[idx] for x in (rows, a, b, k, g))
+        b[left], a[right] = m, m
+        new = np.concatenate([left, right])
+        k[new], g[new] = _gk_panels(spectrum, filters, comb, ids[rows[new]],
+                                    a[new], b[new])
+        nodes += 15 * np.bincount(rows[new], minlength=nodes.size)
+    return value, rel_err, nodes
 
 
-def _tail_estimate(spectrum: NoiseSpectrum, ff: FilterFunction, hi: float) -> float:
-    grid = np.geomspace(hi, 50.0 * hi, 96)
-    g = spectrum.eval(grid) * ff.tail_envelope(grid)
-    return float(np.trapezoid(g, grid))
+def _tail_estimate(spectrum: NoiseSpectrum, envelope, hi: np.ndarray,
+                   rows: np.ndarray | None) -> np.ndarray:
+    """Envelope weight integral S * envelope over [hi, 50 hi] per row."""
+    w = np.geomspace(hi, 50.0 * hi, 96, axis=-1)
+    g = spectrum.eval(w) * envelope(w.T, rows).T
+    return np.trapezoid(g, w, axis=-1)
+
+
+def _comb_error(spectrum: NoiseSpectrum, filters, start: np.ndarray,
+                rows: np.ndarray) -> np.ndarray:
+    """|integral S * (FF - comb mean)| past each row's comb ``start``, to
+    leading order (see ``FilterRows.comb_remainder``)."""
+    h = 1e-3 * start
+
+    def g(w):
+        return spectrum.eval(w) / w ** 2
+
+    slope = (g(start + h) - g(start - h)) / (2.0 * h)
+    return np.abs(slope * filters.comb_remainder(start, rows))
+
+
+def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
+              duration: np.ndarray, rel_tol: float, numeric: bool = False):
+    """chi of a batch of rows (curve points) and its quadrature diagnostics.
+
+    ``filters`` is a ``filters.FilterRows`` (or ``_OneFilter``): row r's
+    filter spans its grid edges ``edges[r]`` (``_grid_edges``).  A row
+    integrates from its grid's first node to max(last node, spectrum
+    extent), or to the last node for a tabulated (``numeric``) filter.  Its
+    first panels end at its grid edges and at the spectrum's refinement
+    points: every 32nd of an analytic spectrum's dense samples, and every
+    node of a tabulated spectrum, whose linear pieces kink there.  Past the
+    grid, a pulse comb is integrated on panels at most 4 pi / t wide up to
+    ``comb_start`` past the spectrum's lines, and as its period mean
+    beyond; 33 geometric edges run to the cutoff.  A row is integrated
+    again while the leading remainder of its comb mean exceeds rel_tol / 4
+    of its value (the comb mean then starts 2x or more further out), or
+    while the envelope tail past its cutoff exceeds 1e-3 of its value (the
+    cutoff grows 6x).  ``rel_err`` adds the comb remainder to the
+    Kronrod-Gauss estimate.
+    """
+    lo = np.array([e[0] for e in edges])
+    hi = np.array([e[-1] for e in edges])
+    target = hi if numeric else np.maximum(hi, spectrum.extent())
+    comb = filters.comb_start(np.maximum(hi, spectrum.features_end()),
+                              np.arange(hi.size))
+    top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
+    refine = spectrum.refinement_points()
+    if spectrum.table is None:
+        refine = refine[::_EDGE_STRIDE]
+    refine = refine[refine > 0.0]
+
+    def first_edges(r):
+        near = (refine >= 0.999 * lo[r]) & (refine <= top[r])
+        parts = [edges[r], refine[near]]
+        start = hi[r]
+        if hi[r] < comb[r] < np.inf:
+            k = math.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
+            parts.append(np.linspace(hi[r], comb[r], k + 1))
+            start = comb[r]
+        if top[r] > start:
+            parts.append(np.geomspace(start, top[r], 33))
+        return np.unique(np.concatenate(parts))
+
+    edges = [first_edges(r) for r in range(hi.size)]
+    hi_used = top.copy()
+    value, rel_err, tail = (np.empty(hi.size) for _ in range(3))
+    nodes = np.zeros(hi.size, dtype=np.int64)
+    todo = np.arange(hi.size)
+    for _ in range(5):
+        v, e, n = _gk_rows(spectrum, filters, comb, todo,
+                           [edges[r] for r in todo], rel_tol)
+        scale = np.maximum(np.abs(v), 1e-300)
+        mean = comb[todo] < hi_used[todo]
+        comb_err = np.zeros(todo.size)
+        if np.any(mean):
+            comb_err[mean] = _comb_error(spectrum, filters, comb[todo[mean]],
+                                         todo[mean])
+        value[todo], rel_err[todo] = v, e + comb_err / scale
+        nodes[todo] += n
+        tail[todo] = _tail_estimate(spectrum, filters.envelope, hi_used[todo],
+                                    todo)
+        short = tail[todo] > 1e-3 * scale
+        early = comb_err > 0.25 * rel_tol * scale
+        if not np.any(short | early):
+            break
+        if numeric:
+            raise CoverageError(
+                "tabulated filter grid truncates significant spectral weight")
+        # a comb mean that starts too early starts again further out, with
+        # narrow panels up to it: the remainder falls at least as fast as
+        # the (start)^-4 that this step assumes
+        pushed = todo[early]
+        over = comb_err[early] / (0.25 * rel_tol * scale[early])
+        step = np.maximum(2.0, over ** 0.25)
+        for r, start in zip(pushed, filters.comb_start(step * comb[pushed],
+                                                       pushed)):
+            k = math.ceil((start - comb[r]) * duration[r] / _LOBE_PANEL_Z)
+            edges[r] = np.unique(np.concatenate(
+                [edges[r], np.linspace(comb[r], start, k + 1)]))
+            comb[r], hi_used[r] = start, max(hi_used[r], start)
+        for r in todo[short]:
+            edges[r] = np.unique(np.concatenate(
+                [edges[r], np.geomspace(hi_used[r], 6.0 * hi_used[r], 33)]))
+            hi_used[r] *= 6.0
+        todo = todo[short | early]
+    else:
+        raise NumericError("spectral tail or comb remainder did not become "
+                           "negligible while extending the quadrature cutoff")
+    return 0.5 * duration * value, {"omega_max": hi_used, "rel_err": rel_err,
+                                    "tail_estimate": tail, "nodes": nodes}
 
 
 def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
@@ -135,53 +352,27 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
     """Dephasing exponent and quadrature diagnostics.
 
     The info dict holds the upper cutoff ``omega_max``, the achieved relative
-    error estimate ``rel_err``, the envelope ``tail_estimate`` past the
-    cutoff and ``nodes``, the abscissa count of the final composite rule.
+    error estimate ``rel_err`` (sum |K15 - G7| / |sum K15| over the final
+    panels, plus the leading remainder of a pulse comb's period mean), the
+    envelope ``tail_estimate`` past the cutoff and ``nodes``,
+    the number of integrand evaluations.  A tabulated (numeric) filter
+    whose grid ends before the spectrum does raises ``CoverageError``.
     """
-    lo = float(ff.omegas[0])
+    numeric = ff.source is FFSource.NUMERIC
+    one = _OneFilter(ff)
     hi = float(ff.omegas[-1])
-    extent = spectrum.extent()
-    target_hi = max(hi, extent)
-    if ff.source is FFSource.NUMERIC and target_hi > 1.0001 * hi:
-        tail = _tail_estimate(spectrum, ff, hi)
+    if numeric and spectrum.extent() > 1.0001 * hi:
+        tail = float(_tail_estimate(spectrum, one.envelope, np.array([hi]),
+                                    None)[0])
         probe = max(abs(float(np.trapezoid(
             spectrum.eval(ff.omegas) * ff.values, ff.omegas))), 1e-300)
         if tail > 1e-3 * probe:
             raise CoverageError(
                 "tabulated filter grid ends before the spectrum does "
                 f"(tail estimate {tail:.3e} vs integral {probe:.3e})")
-        target_hi = hi
-    parts = [ff.omegas]
-    refine = spectrum.refinement_points()
-    refine = refine[(refine > 0.0) & (refine <= target_hi)]
-    parts.append(refine)
-    if target_hi > hi:
-        parts.append(np.geomspace(hi, target_hi, 257))
-    grid = np.concatenate(parts)
-    grid = grid[(grid >= lo * 0.999) & (grid <= target_hi)]
-    grid = np.concatenate([[lo], grid, [target_hi]]) if target_hi > hi else grid
-
-    def integrand(w):
-        return spectrum.eval(w) * ff.evaluate(w)
-
-    hi_used = target_hi
-    for _ in range(5):
-        value, achieved, nodes = _refine_trapezoid(integrand, grid, rel_tol)
-        tail = _tail_estimate(spectrum, ff, hi_used)
-        if tail <= 1e-3 * max(abs(value), 1e-300):
-            break
-        if ff.source is FFSource.NUMERIC:
-            raise CoverageError(
-                "tabulated filter grid truncates significant spectral weight")
-        new_hi = 6.0 * hi_used
-        grid = np.concatenate([grid, np.geomspace(hi_used, new_hi, 193)])
-        hi_used = new_hi
-    else:
-        raise NumericError("spectral tail did not become negligible while "
-                           "extending the quadrature cutoff")
-    chi_value = 0.5 * ff.duration * value
-    return chi_value, {"omega_max": hi_used, "rel_err": achieved,
-                       "tail_estimate": tail, "nodes": nodes}
+    chis, info = _chi_rows(spectrum, one, [_grid_edges(ff.omegas)],
+                           np.array([ff.duration]), rel_tol, numeric)
+    return float(chis[0]), {key: info[key][0].item() for key in info}
 
 
 def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> float:
@@ -199,6 +390,35 @@ def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> f
 _COMB_Z_CAP = 8e4
 
 
+def _filter_grid(spec: SequenceSpec, spectrum: NoiseSpectrum | None,
+                 rel_tol: float) -> tuple[FilterFunction, np.ndarray]:
+    """``filter_for``'s filter before its comb grid is extended, and the
+    grid that ``filter_for`` tabulates it on (see there)."""
+    if not spec.family.pulsed:
+        ff = dysco_ff(spec)
+        return ff, ff.omegas
+    n, t = spec.n_pulses, spec.duration
+    if spectrum is None:
+        ff = cpmg_ff(n, t)
+        return ff, ff.omegas
+    z_floor = 40.0 * n
+    z_cap = min(max(z_floor, spectrum.extent() * t * 1.05), _COMB_Z_CAP)
+    ff = cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=min(z_floor, z_cap)))
+    if z_cap <= z_floor:
+        return ff, ff.omegas
+    covered = float(np.trapezoid(spectrum.eval(ff.omegas) * ff.values, ff.omegas))
+    # geometric probe, 48 nodes per decade out to 50x the cap (as _tail_estimate)
+    w = np.geomspace(z_floor / t, 50.0 * z_cap / t,
+                     int(48 * math.log10(50.0 * z_cap / z_floor)) + 2)
+    g = spectrum.eval(w) * ff.tail_envelope(w)
+    pieces = 0.5 * np.diff(w) * (g[1:] + g[:-1])
+    beyond = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)   # weight past w[k]
+    z = min(float(w[np.argmax(beyond <= rel_tol * covered)]) * t, z_cap)
+    if z <= z_floor:
+        return ff, ff.omegas
+    return ff, default_cpmg_omegas(n, t, z_max=z)
+
+
 def filter_for(spec: SequenceSpec, spectrum: NoiseSpectrum | None = None,
                rel_tol: float = 1e-4) -> FilterFunction:
     """The filter function FF that ``chi`` integrates for one sequence.
@@ -211,33 +431,15 @@ def filter_for(spec: SequenceSpec, spectrum: NoiseSpectrum | None = None,
     40n grid already covers; it never passes the power-extent rule
     min(extent*t*1.05, _COMB_Z_CAP).  The 1/omega^2 envelope makes this far
     shorter than the power extent of a heavy-tailed spectrum;
-    ``chi_detailed``'s geometric extension and refine loop integrate what
+    ``chi_detailed``'s geometric panels and extension loop integrate what
     lies beyond.
     """
-    if not spec.family.pulsed:
-        return dysco_ff(spec)
-    n, t = spec.n_pulses, spec.duration
-    if spectrum is None:
-        return cpmg_ff(n, t)
-    z_floor = 40.0 * n
-    z_cap = min(max(z_floor, spectrum.extent() * t * 1.05), _COMB_Z_CAP)
-    ff = cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=min(z_floor, z_cap)))
-    if z_cap <= z_floor:
-        return ff
-    covered = float(np.trapezoid(spectrum.eval(ff.omegas) * ff.values, ff.omegas))
-    # geometric probe, 48 nodes per decade out to 50x the cap (as _tail_estimate)
-    w = np.geomspace(z_floor / t, 50.0 * z_cap / t,
-                     int(48 * math.log10(50.0 * z_cap / z_floor)) + 2)
-    g = spectrum.eval(w) * ff.tail_envelope(w)
-    pieces = 0.5 * np.diff(w) * (g[1:] + g[:-1])
-    beyond = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)   # weight past w[k]
-    z = min(float(w[np.argmax(beyond <= rel_tol * covered)]) * t, z_cap)
-    if z <= z_floor:
+    ff, omegas = _filter_grid(spec, spectrum, rel_tol)
+    if omegas.size == ff.omegas.size:
         return ff
     # the 40n grid is a leading prefix of every longer one (same arange start
     # and step, and the fine window ends below 40n), so only the new tail
     # nodes need the closed form
-    omegas = default_cpmg_omegas(n, t, z_max=z)
     tail = ff.evaluate(omegas[ff.omegas.size:])
     return replace(ff, omegas=omegas, values=np.concatenate([ff.values, tail]))
 
@@ -246,21 +448,29 @@ def filter_for(spec: SequenceSpec, spectrum: NoiseSpectrum | None = None,
 # synthetic curves
 # ---------------------------------------------------------------------------
 
-def _coherences(spectrum: NoiseSpectrum, ffs, rel_tol: float):
-    """exp(-chi) at each filter of ``ffs``, plus the curve's quadrature
-    diagnostics: the worst achieved ``rel_err``, the largest filter grid,
-    the total node count and the last point's ``omega_max``."""
-    cs, info = [], {}
-    rel_err_max, ff_grid_max, quad_nodes = 0.0, 0, 0
-    for ff in ffs:
-        value, info = chi_detailed(spectrum, ff, rel_tol)
-        cs.append(math.exp(-value))
-        rel_err_max = max(rel_err_max, info["rel_err"])
-        ff_grid_max = max(ff_grid_max, int(ff.omegas.size))
-        quad_nodes += info["nodes"]
-    return np.array(cs), {"rel_tol": rel_tol, "omega_max": info.get("omega_max"),
-                          "rel_err_max": rel_err_max, "ff_grid_max": ff_grid_max,
-                          "quad_nodes": quad_nodes}
+def _coherences(spectrum: NoiseSpectrum, specs: list, rel_tol: float):
+    """exp(-chi) at each sequence of ``specs`` (one curve: a pulsed family
+    at one n, or a carrier sweep at one duration), plus the curve's
+    quadrature diagnostics: the worst achieved ``rel_err``, the largest
+    filter grid, the total node count and the last point's ``omega_max``.
+
+    Each point keeps only the panel edges of its filter (a pulsed train's
+    comb grid is not evaluated past its 40n probe).  The whole curve is
+    then integrated in one batch of ``FilterRows``, and each point equals
+    ``chi_detailed(spectrum, filter_for(spec, spectrum, rel_tol))`` bit for
+    bit.
+    """
+    edges, grid = [], 0
+    for spec in specs:
+        _, omegas = _filter_grid(spec, spectrum, rel_tol)
+        edges.append(_grid_edges(omegas))
+        grid = max(grid, int(omegas.size))
+    filters = FilterRows.of(specs)
+    chis, info = _chi_rows(spectrum, filters, edges, filters.durations, rel_tol)
+    return np.array([math.exp(-c) for c in chis]), {
+        "rel_tol": rel_tol, "omega_max": float(info["omega_max"][-1]),
+        "rel_err_max": float(np.max(info["rel_err"])), "ff_grid_max": grid,
+        "quad_nodes": int(np.sum(info["nodes"]))}
 
 
 def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
@@ -311,9 +521,8 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
         times = np.sort(grids[n])
         if times.size == 0 or times[0] <= 0.0:
             raise ValidationError("time grids must be positive and non-empty")
-        specs = (SequenceSpec.cpmg(n, duration=float(t)) for t in times)
-        cs, quad = _coherences(spectrum, (filter_for(spec, spectrum, rel_tol)
-                                          for spec in specs), rel_tol)
+        cs, quad = _coherences(spectrum, [SequenceSpec.cpmg(n, duration=float(t))
+                                          for t in times], rel_tol)
         template = SequenceSpec.cpmg(n, duration=float(times[-1]))
         curves.append(CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME,
@@ -333,8 +542,8 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
     fs = np.sort(np.asarray(f_grid, dtype=float))
     if fs.size == 0 or fs[0] <= 0.0:
         raise ValidationError("frequency grid must be positive and non-empty")
-    cs, quad = _coherences(spectrum, (
-        filter_for(replace(template, mod_frequency=float(f0))) for f0 in fs), rel_tol)
+    cs, quad = _coherences(spectrum, [replace(template, mod_frequency=float(f0))
+                                      for f0 in fs], rel_tol)
     return CoherenceCurve(
         abscissa_kind=AbscissaKind.MOD_FREQUENCY,
         xs=fs, coherences=cs, uncertainties=np.zeros_like(fs),

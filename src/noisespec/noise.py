@@ -143,6 +143,14 @@ class NoiseSpectrum:
             return self.table[0]
         return np.unique(np.concatenate([c.refinement() for c in self.components]))
 
+    def features_end(self) -> float:
+        """Frequency past which S has no line and no table node left: above
+        it S is zero or a Lorentzian tail, smooth on the scale of omega."""
+        if self.table is not None:
+            return float(self.table[0][-1])
+        return max([c.omega_center + 9.0 * c.sigma for c in self.components
+                    if c.kind is ComponentKind.GAUSSIAN_PEAK], default=0.0)
+
     def scaled(self, factor: float) -> "NoiseSpectrum":
         """Pointwise-exact rescaling S -> factor * S."""
         if factor <= 0.0:

@@ -299,6 +299,22 @@ def test_cli_fit_comb_on_written_curve(tmp_path):
                                                                   rel=1e-4)
 
 
+def test_cli_fit_envelope_on_its_own_noisy_synthesis(tmp_path):
+    # readout noise at epsilon 0.02 carries points past 1 and below 0
+    rc = cli_main(["synth", "--family", "cpmg", "--n-list", "1,2,4,8",
+                   "--times", "1e-5:2e-3:40", "--epsilon", "0.02",
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    path = tmp_path / "synth_cpmg_n8.csv"
+    cs = read_curve(path).coherences
+    assert np.any(cs > 1.0) and np.any(cs <= 0.0)
+    rc = cli_main(["fit", "--mode", "envelope", "--curves", str(path),
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "fit_envelope.json").read_text())
+    assert 0.0 < payload["parameters"]["t2"] < 2e-3
+
+
 def test_cli_missing_curve_file_exits_3(tmp_path):
     rc = cli_main(["reconstruct", "--mode", "sd", "--curves",
                    str(tmp_path / "nope.csv"), "--outdir", str(tmp_path)])

@@ -78,6 +78,19 @@ def test_envelope_fit_validation():
         fit_envelope(times, np.zeros(10))
 
 
+def test_envelope_fit_accepts_noise_within_three_sigma():
+    times = np.linspace(5e-5, 3e-3, 40)
+    cs = _envelope(times, 1e-3, 1.5)
+    cs[0], cs[-1] = 1.0 + 0.059, -0.059
+    us = np.full(40, 0.02)
+    result = fit_envelope(times, cs, uncertainties=us)
+    assert result["t2"] == pytest.approx(1e-3, rel=0.05)
+    for bad in (1.0 + 0.061, -0.06):
+        cs[0] = bad
+        with pytest.raises(ValidationError):
+            fit_envelope(times, cs, uncertainties=us)
+
+
 # --------------------------------------------------------------------------
 # Revival comb
 

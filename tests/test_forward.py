@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from noisespec import (
     AbscissaKind,
     CoherenceCurve,
+    CoverageError,
+    Family,
     Provenance,
     Sampling,
     SequenceSpec,
     ValidationError,
     add_measurement_noise,
+    build_trace,
     chi,
     chi_detailed,
     composite,
@@ -24,12 +28,15 @@ from noisespec import (
     filter_for,
     gaussian_peak,
     lorentzian_dc,
+    numeric_ff,
     peak_stats,
     synth_cpmg_family,
     synth_dysco_sweep,
     tabulated,
     write_curve,
 )
+from noisespec.filters import FilterRows
+from noisespec.forward import _chi_rows, _grid_edges
 
 
 def _flat_spectrum(level: float, top: float = 1e9):
@@ -83,10 +90,143 @@ def test_chi_detailed_reports_coverage():
 
 def test_chi_detailed_counts_quadrature_nodes(bath):
     ff = cpmg_ff(4, 2e-5)
-    _, info = chi_detailed(bath, ff)
-    # the final rule holds every filter node plus the interval midpoints
-    assert info["nodes"] >= 2 * ff.omegas.size - 1
-    assert info["nodes"] % 2 == 1
+    sizes = []
+
+    def counted(w):
+        sizes.append(np.size(w))
+        return ff.evaluate(w)
+
+    value, info = chi_detailed(bath, replace(ff, evaluator=counted))
+    # every K15 panel costs 15 evaluations, and every one is counted
+    assert info["nodes"] > 0 and info["nodes"] % 15 == 0
+    assert info["nodes"] == sum(sizes)
+    assert value == chi(bath, ff)
+
+
+def test_rows_that_extend_keep_their_bits_in_a_batch():
+    # carrier grids that stop below the line (500 and 3000 rad/s, the
+    # line at 2 pi kHz) leave an envelope tail past them above 1e-3 of the
+    # value, so the cutoff grows 6x until it is not: one row extends once,
+    # one never, one twice, and each equals its own chi_detailed bit for
+    # bit, nodes included
+    bath = lorentzian_dc(1e3, 0.5)
+    specs = [SequenceSpec.dysco(1e-3, f) for f in (1e3, 2e3, 1e3)]
+    ffs = [dysco_ff(specs[0], np.linspace(1e2, 3e3, 64)), dysco_ff(specs[1]),
+           dysco_ff(specs[2], np.linspace(1e2, 5e2, 64))]
+    rows = FilterRows.of(specs)
+    chis, info = _chi_rows(bath, rows, [_grid_edges(ff.omegas) for ff in ffs],
+                           rows.durations, 1e-4)
+    alone = [chi_detailed(bath, ff) for ff in ffs]
+    cutoffs = [max(ff.omegas[-1], bath.extent()) for ff in ffs]
+    assert np.allclose(info["omega_max"] / cutoffs, [6.0, 1.0, 36.0],
+                       rtol=1e-15, atol=0.0)
+    assert np.array_equal(chis, [value for value, _ in alone])
+    assert list(info["nodes"]) == [i["nodes"] for _, i in alone]
+    assert np.all(info["tail_estimate"] <= 1e-3 * 2.0 * chis / rows.durations)
+
+
+def test_comb_past_a_short_grid_is_integrated_to_its_mean_start():
+    # Hahn grids that stop inside the passband (z = 5 and 3): the comb is
+    # integrated on narrow panels out to z = 14 pi (the first multiple of
+    # 2 pi n past 40 n) and as its period mean beyond, which leaves no
+    # envelope tail to extend over, and chi equals the default grid's
+    t = np.array([1e-4, 2e-4, 1e-4])
+    bath = lorentzian_dc(1e3, 50.0)
+    ffs = [cpmg_ff(1, t[0], np.linspace(1e2, 5e4, 64)), cpmg_ff(1, t[1]),
+           cpmg_ff(1, t[2], np.linspace(1e2, 3e4, 64))]
+    rows = FilterRows(Family.CPMG, t, n_pulses=1)
+    chis, info = _chi_rows(bath, rows, [_grid_edges(ff.omegas) for ff in ffs],
+                           t, 1e-4)
+    assert np.allclose(info["omega_max"] * t, 14.0 * math.pi, rtol=1e-15)
+    assert np.array_equal(chis, [chi(bath, ff) for ff in ffs])
+    assert chis[0] == pytest.approx(chi(bath, cpmg_ff(1, t[0])), rel=1e-12)
+    assert chis[2] == pytest.approx(chis[0], rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=64),
+       log_t=st.floats(min_value=math.log10(3e-6), max_value=math.log10(3e-3)),
+       log_sigma=st.floats(min_value=3.0, max_value=6.5),
+       line=st.booleans(),
+       rel_tol=st.sampled_from([1e-3, 1e-4, 1e-6]))
+def test_chi_is_within_rel_tol_of_a_tight_reference(n, log_t, log_sigma, line,
+                                                    rel_tol):
+    t, sigma = 10.0 ** log_t, 10.0 ** log_sigma
+    bath = composite(5.0 * sigma, 0.1 * sigma, 8.0 * sigma, sigma, sigma) \
+        if line else lorentzian_dc(2.0 * sigma, sigma)
+    spec = SequenceSpec.cpmg(n, duration=t)
+    value = chi(bath, filter_for(spec, bath, rel_tol), rel_tol)
+    tight = chi(bath, filter_for(spec, bath, 1e-8), rel_tol=1e-8)
+    assert abs(value / tight - 1.0) <= rel_tol
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
+def test_comb_past_the_z_cap_matches_the_exact_ou_chi(rel_tol):
+    # the power extent (~3e9 rad/s) lies far past the comb grid's z cap
+    # (8e4 / t = 2.7e7 rad/s), and the comb's narrow lobes (64 pulses) are
+    # integrated as their period mean there
+    n, t, sigma = 64, 3e-3, 10.0 ** 6.5
+    bath = lorentzian_dc(2.0 * sigma, sigma)
+    ff = filter_for(SequenceSpec.cpmg(n, duration=t), bath, rel_tol)
+    assert ff.omegas[-1] * t < 8.1e4 and bath.extent() * t > 1e6
+    value, info = chi_detailed(bath, ff, rel_tol)
+    exact = _ou_cpmg_chi(n, t, 2.0 * sigma, sigma)
+    assert abs(value / exact - 1.0) <= rel_tol
+    assert info["rel_err"] <= rel_tol
+
+
+@pytest.mark.parametrize("n, t, sigma", [(1, 1e-3, 1e5), (2, 2e-4, 5e4)])
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
+def test_comb_mean_starts_where_its_remainder_is_within_tolerance(
+        n, t, sigma, rel_tol):
+    # the Lorentzian still falls steeply at z = 44 n, where the comb mean
+    # would first start: its leading remainder there is 2.5e-4 (n = 1) and
+    # 3.3e-6 (n = 2) of chi, so the start moves out until it is negligible
+    bath = lorentzian_dc(sigma, sigma)
+    value = chi(bath, cpmg_ff(n, t), rel_tol)
+    assert abs(value / _ou_cpmg_chi(n, t, sigma, sigma) - 1.0) <= rel_tol
+
+
+def test_every_node_of_a_tabulated_spectrum_bounds_a_panel():
+    # a 200 rad/s wide line between table nodes, on the Hahn filter's
+    # flank: panels spanning it would see S = 0 at all 15 of their nodes
+    omegas = np.array([0.0, 9.99e4, 1e5, 1.001e5, 2e5])
+    bath = tabulated(omegas, [0.0, 0.0, 1e6, 0.0, 0.0])
+    ff = cpmg_ff(1, 1e-4)
+    w = np.linspace(9.99e4, 1.001e5, 200_001)
+    exact = 0.5 * 1e-4 * np.trapezoid(bath.eval(w) * ff.evaluate(w), w)
+    assert chi(bath, ff) == pytest.approx(exact, rel=1e-6)
+
+
+def _trace_filter(spec, z_max):
+    """numeric_ff of the sampled trace on the comb grid out to z_max."""
+    grid = default_cpmg_omegas(spec.n_pulses, spec.duration, z_max=z_max)
+    return numeric_ff(build_trace(spec, 4e6), grid)
+
+
+@pytest.mark.parametrize("bath", [
+    gaussian_peak(2e4, 1e5, 3e6), composite(2e4, 1e5, 3e6, 2e4, 1e4),
+], ids=["line", "line+lorentzian"])
+def test_numeric_filter_must_cover_the_spectrum(bath):
+    spec = SequenceSpec.cpmg(2, duration=1e-4)
+    covering, short = _trace_filter(spec, 1e3), _trace_filter(spec, 80.0)
+    assert covering.omegas[-1] > bath.extent() > short.omegas[-1]
+    value, info = chi_detailed(bath, covering)
+    assert value == pytest.approx(chi(bath, cpmg_ff(2, 1e-4)), rel=1e-3)
+    assert info["omega_max"] == covering.omegas[-1]
+    with pytest.raises(CoverageError, match="ends before the spectrum"):
+        chi_detailed(bath, short)
+
+
+def test_numeric_filter_tail_past_the_extent_is_rejected():
+    # the grid reaches the power extent, but the filter's envelope past it
+    # (a harmonic lobe at the grid end) still outweighs 1e-3 of chi
+    bath = lorentzian_dc(1e3, 500.0)
+    spec = SequenceSpec.cpmg(64, duration=1e-3)
+    ff = _trace_filter(spec, 1.001 * bath.extent() * 1e-3)
+    assert ff.omegas[-1] * 1.0001 >= bath.extent()
+    with pytest.raises(CoverageError, match="truncates"):
+        chi_detailed(bath, ff)
 
 
 # --------------------------------------------------------------------------
@@ -272,10 +412,28 @@ def test_curves_carry_quadrature_diagnostics(tmp_path, bath):
     assert meta["omega_max"] == infos[-1]["omega_max"]
     sweep = synth_dysco_sweep(bath, SequenceSpec.dysco(2e-4, 1e5), [3e4, 6e4])
     assert sweep.metadata["ff_grid_max"] == 2000
-    assert sweep.metadata["quad_nodes"] > 2 * 2000
+    assert sweep.metadata["quad_nodes"] > 0
+    assert sweep.metadata["quad_nodes"] % 15 == 0
     write_curve(curve, tmp_path / "c.csv")
     sidecar = json.loads((tmp_path / "c.meta.json").read_text())["metadata"]
     assert {"rel_err_max", "ff_grid_max", "quad_nodes"} <= set(sidecar)
+
+
+@pytest.mark.parametrize("family", ["cpmg", "dysco", "gdysco"])
+def test_curve_points_equal_their_filters_alone(bath, family):
+    if family == "cpmg":
+        xs = np.geomspace(1e-5, 3e-3, 9)
+        (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n=[xs])
+        ffs = [filter_for(SequenceSpec.cpmg(8, duration=t), bath) for t in xs]
+    else:
+        template = getattr(SequenceSpec, family)(2e-4, 1e5)
+        xs = np.linspace(3e4, 1.2e5, 9)
+        curve = synth_dysco_sweep(bath, template, xs)
+        ffs = [filter_for(replace(template, mod_frequency=f)) for f in xs]
+    alone = [chi_detailed(bath, ff) for ff in ffs]
+    assert np.array_equal(curve.coherences,
+                          [math.exp(-value) for value, _ in alone])
+    assert curve.metadata["quad_nodes"] == sum(i["nodes"] for _, i in alone)
 
 
 def test_revival_sampling_needs_a_line():
