@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -40,25 +39,23 @@ class FFSource(str, Enum):
 
 @dataclass(frozen=True)
 class FilterFunction:
-    """Tabulated FF(omega) with an optional exact evaluator.
+    """Tabulated FF(omega) and the one evaluator ``rows`` that ``chi``
+    integrates.
 
     ``omegas`` are angular frequencies (rad/s, strictly increasing, > 0);
-    ``values`` carry units of seconds.  Analytic families attach a vectorized
-    evaluator used for off-grid queries; numeric tables fall back to linear
-    interpolation (zero outside the grid).  ``tail_coefficient`` scales the
-    1/omega^2 envelope used for coverage estimates past the grid.  An
-    analytic filter also carries its closed form as the one-row
-    :class:`FilterRows` ``rows``.
+    ``values`` carry units of seconds.  An analytic filter's ``rows`` is its
+    closed form as a one-row :class:`FilterRows`; a table built without
+    ``rows`` gets a :class:`_TableRow`, which interpolates it linearly (zero
+    outside the grid) and bounds FF past the grid by the 1/omega^2
+    envelope of its last nodes.
     """
 
     omegas: np.ndarray
     values: np.ndarray
     duration: float
     source: FFSource
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-    tail_coefficient: float = field(default=0.0, repr=False, compare=False)
-    rows: "FilterRows | None" = field(default=None, repr=False, compare=False)
+    rows: "FilterRows | _TableRow | None" = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self) -> None:
         if self.omegas.ndim != 1 or self.omegas.shape != self.values.shape:
@@ -69,19 +66,12 @@ class FilterFunction:
             raise ValidationError("omegas must be strictly increasing and positive")
         if np.any(self.values < 0.0) or not np.all(np.isfinite(self.values)):
             raise ValidationError("FF values must be finite and non-negative")
+        if self.rows is None or isinstance(self.rows, _TableRow):
+            # a table's row reads its own values, also after ``replace``
+            object.__setattr__(self, "rows", _TableRow(self.omegas, self.values))
 
     def evaluate(self, omega: np.ndarray | float) -> np.ndarray:
-        w = np.asarray(omega, dtype=float)
-        if self.evaluator is not None:
-            return self.evaluator(w)
-        return np.interp(w, self.omegas, self.values, left=0.0, right=0.0)
-
-    def tail_envelope(self, omega: np.ndarray) -> np.ndarray:
-        """Upper estimate of FF beyond the tabulated grid (1/omega^2 decay)."""
-        w = np.asarray(omega, dtype=float)
-        if self.rows is not None:
-            return self.rows.envelope(w, 0)
-        return _inverse_square(self.tail_coefficient, w)
+        return self.rows.values(np.asarray(omega, dtype=float), 0)
 
     def total_area(self) -> float:
         return float(np.trapezoid(self.values, self.omegas))
@@ -89,6 +79,26 @@ class FilterFunction:
 
 def _inverse_square(coef, w: np.ndarray) -> np.ndarray:
     return coef / np.maximum(w, 1e-300) ** 2
+
+
+class _TableRow:
+    """A tabulated filter as a batch of one row, in ``FilterRows``' terms:
+    linear interpolation, zero outside the grid, and no comb.  Its envelope
+    past the grid is 4x the mean of omega^2 FF over the last 8 nodes,
+    over omega^2."""
+
+    def __init__(self, omegas: np.ndarray, values: np.ndarray):
+        self.omegas, self.table = omegas, values
+        self.tail = float(np.mean(values[-8:] * omegas[-8:] ** 2)) * 4.0
+
+    def values(self, w: np.ndarray, rows) -> np.ndarray:
+        return np.interp(w, self.omegas, self.table, left=0.0, right=0.0)
+
+    def envelope(self, w: np.ndarray, rows) -> np.ndarray:
+        return _inverse_square(self.tail, w)
+
+    def comb_start(self, hi: np.ndarray, rows) -> np.ndarray:
+        return np.full(np.shape(hi), np.inf)
 
 
 @dataclass(frozen=True)
@@ -130,24 +140,20 @@ class FilterRows:
                                   self.amplitude)
         return _dysco_values(w, self.w0[rows], t, self.amplitude)
 
-    def tail_coefficients(self) -> np.ndarray:
-        """Per-row scale of the 1/omega^2 tail envelope (0 for GDYSCO,
-        whose envelope is its own Gaussian line)."""
-        if self.family.pulsed:
-            # comb lobes average ~0.4*omega0/w^2 of area density; keep a
-            # 2x cushion
-            return math.pi * self.n_pulses / self.durations
-        if self.family is Family.GDYSCO:
-            return np.zeros(self.durations.size)
-        # sinc^2(x) <= 1/x^2, evaluated a few lobes past the grid edge
-        a = self.amplitude
-        return np.full(self.durations.size, a * a / (math.pi * self.durations[0]))
-
     def envelope(self, w: np.ndarray, rows) -> np.ndarray:
-        """Upper estimate of each row's FF past its grid."""
+        """Upper estimate of each row's FF past its grid: the Gaussian line
+        itself (GDYSCO), or a 1/omega^2 decay.  A pulsed row's comb lobes
+        average ~0.4 omega0 / w^2 of area density, kept with a 2x cushion;
+        a DYSCO row uses sinc^2(x) <= 1/x^2, evaluated a few lobes past the
+        grid edge."""
         if self.family is Family.GDYSCO:
             return self.values(w, rows)
-        return _inverse_square(self.tail_coefficients()[rows], w)
+        if self.family.pulsed:
+            coef = math.pi * self.n_pulses / self.durations[rows]
+        else:
+            a = self.amplitude
+            coef = a * a / (math.pi * self.durations[0])
+        return _inverse_square(coef, w)
 
     def comb_start(self, hi: np.ndarray, rows) -> np.ndarray:
         """Where the rows' combs may be replaced by their period mean, for
@@ -267,10 +273,7 @@ def cpmg_ff(n_pulses: int, duration: float,
 def _analytic_ff(rows: FilterRows, omegas: np.ndarray,
                  source: FFSource) -> FilterFunction:
     return FilterFunction(omegas, rows.values(omegas, 0),
-                          float(rows.durations[0]), source,
-                          evaluator=lambda w: rows.values(w, 0),
-                          tail_coefficient=float(rows.tail_coefficients()[0]),
-                          rows=rows)
+                          float(rows.durations[0]), source, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +366,8 @@ def numeric_ff(trace: SensitivityTrace, omegas: np.ndarray) -> FilterFunction:
             block = omegas[start:start + 256]
             kernel = np.exp(1j * np.outer(block, trace.times))
             ft[start:start + 256] = dt * (kernel @ trace.values)
-    values = np.abs(ft) ** 2 / (math.pi * t)
-    tail = float(np.mean(values[-8:] * omegas[-8:] ** 2)) * 4.0
-    return FilterFunction(omegas, values, t, FFSource.NUMERIC,
-                          tail_coefficient=tail)
+    return FilterFunction(omegas, np.abs(ft) ** 2 / (math.pi * t), t,
+                          FFSource.NUMERIC)
 
 
 # ---------------------------------------------------------------------------

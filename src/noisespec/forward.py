@@ -12,10 +12,13 @@ sine; before that point, panels stay narrower than a lobe, and the point
 moves out while the mean's leading remainder is not negligible.  An
 envelope tail check extends the upper cutoff until the tail is within
 ``rel_tol`` of chi (or rejects tabulated filters that would truncate
-significant weight).  Every sequence has one filter (``filter_for``), on its
-default grid.  One core integrates many rows at once: ``chi_detailed`` is a
-batch of one, and curve synthesis integrates a whole curve in one pass, each
-point bit for bit as it would be alone.
+significant weight).  A pulse train's panels start at its grid's first
+node, a carrier's at 0: the squared sinc's far lobes reach below its grid.
+Every sequence has one filter (``filter_for``), on its default grid.  One
+core integrates many rows at once: ``chi_detailed`` is a batch of one (the
+filter's own evaluator ``FilterFunction.rows``), and curve synthesis
+integrates a whole curve in one pass, each point bit for bit as it would
+be alone.
 """
 
 from __future__ import annotations
@@ -125,33 +128,6 @@ def _grid_edges(omegas: np.ndarray) -> np.ndarray:
     return np.append(omegas[::_EDGE_STRIDE], omegas[-1])
 
 
-class _OneFilter:
-    """A FilterFunction as a batch of one row, in ``FilterRows``' terms.
-
-    FF itself is read through ``ff.evaluate``, so a replaced evaluator or a
-    tabulated grid is what gets integrated."""
-
-    def __init__(self, ff: FilterFunction):
-        self.ff = ff
-
-    def values(self, w, rows):
-        return self.ff.evaluate(w)
-
-    def envelope(self, w, rows):
-        return self.ff.tail_envelope(w)
-
-    def comb_start(self, hi, rows):
-        if self.ff.rows is None:
-            return np.full(np.shape(hi), np.inf)
-        return self.ff.rows.comb_start(hi, rows)
-
-    def comb_mean(self, w, rows):
-        return self.ff.rows.comb_mean(w, rows)
-
-    def comb_remainder(self, start, rows):
-        return self.ff.rows.comb_remainder(start, rows)
-
-
 def _gk_panels(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
                rows: np.ndarray, a: np.ndarray, b: np.ndarray):
     """K15 and G7 estimates of integral S * FF over each panel [a, b], FF
@@ -237,7 +213,7 @@ def _gk_rows(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
 
 
 def _tail_estimate(spectrum: NoiseSpectrum, envelope, hi: np.ndarray,
-                   rows: np.ndarray | None) -> np.ndarray:
+                   rows: np.ndarray) -> np.ndarray:
     """Envelope weight integral S * envelope over [hi, 50 hi] per row."""
     w = np.geomspace(hi, 50.0 * hi, 96, axis=-1)
     g = spectrum.eval(w) * envelope(w.T, rows).T
@@ -261,28 +237,32 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
               duration: np.ndarray, rel_tol: float, numeric: bool = False):
     """chi of a batch of rows (curve points) and its quadrature diagnostics.
 
-    ``filters`` is a ``filters.FilterRows`` (or ``_OneFilter``): row r's
-    filter spans its grid edges ``edges[r]`` (``_grid_edges``).  A row
-    integrates from its grid's first node to max(last node, spectrum
-    extent), or to the last node for a tabulated (``numeric``) filter.  Its
-    first panels end at its grid edges and at the spectrum's refinement
-    points: every 32nd of an analytic spectrum's dense samples, and every
-    node of a tabulated spectrum, whose linear pieces kink there.  Past the
-    grid, a pulse comb is integrated on panels at most 4 pi / t wide up to
-    ``comb_start`` past the spectrum's lines, and as its period mean
-    beyond; 33 geometric edges run to the cutoff.  A row is integrated
-    again while the leading remainder of its comb mean exceeds rel_tol / 4
-    of its value (the comb mean then starts 2x or more further out), or
-    while the envelope tail past its cutoff exceeds rel_tol of its value
-    (the cutoff grows 6x).  A tabulated filter cannot be extended: a tail
-    above 1e-3 of its value raises ``CoverageError``.  ``rel_err`` adds the
-    comb remainder to the Kronrod-Gauss estimate.
+    ``filters`` is a ``filters.FilterRows``, or the one-row evaluator
+    ``FilterFunction.rows`` of a single filter: row r's filter spans its
+    grid edges ``edges[r]`` (``_grid_edges``).  A row integrates to
+    max(last node, spectrum extent), or to the last node for a tabulated
+    (``numeric``) filter, from its grid's first node, or from 0 for an
+    analytic carrier (no comb, not ``numeric``), whose sinc^2 far lobes
+    reach below its grid.  Its first panels end at its grid edges and at
+    the spectrum's refinement points: every 32nd of an analytic spectrum's
+    dense samples, and every node of a tabulated spectrum, whose linear
+    pieces kink there.  Past the grid, a pulse comb is integrated on panels
+    at most 4 pi / t wide up to ``comb_start`` past the spectrum's lines,
+    and as its period mean beyond; 33 geometric edges run to the cutoff.
+    A row is integrated again while the leading remainder of its comb mean
+    exceeds rel_tol / 4 of its value (the comb mean then starts 2x or more
+    further out), or while the envelope tail past its cutoff exceeds
+    rel_tol of its value (the cutoff grows 6x).  A tabulated filter cannot
+    be extended: a tail above 1e-3 of its value raises ``CoverageError``.
+    ``rel_err`` adds the comb remainder to the Kronrod-Gauss estimate.
     """
-    lo = np.array([e[0] for e in edges])
     hi = np.array([e[-1] for e in edges])
     target = hi if numeric else np.maximum(hi, spectrum.extent())
     comb = filters.comb_start(np.maximum(hi, spectrum.features_end()),
                               np.arange(hi.size))
+    lo = np.array([e[0] for e in edges])
+    if not numeric:
+        lo[np.isinf(comb)] = 0.0    # a carrier's far lobes reach down to DC
     top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
     refine = spectrum.refinement_points()
     if spectrum.table is None:
@@ -291,7 +271,7 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
 
     def first_edges(r):
         near = (refine >= 0.999 * lo[r]) & (refine <= top[r])
-        parts = [edges[r], refine[near]]
+        parts = [[lo[r]], edges[r], refine[near]]
         start = hi[r]
         if hi[r] < comb[r] < np.inf:
             k = math.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
@@ -364,18 +344,17 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
     1e-3 of chi, raises ``CoverageError``.
     """
     numeric = ff.source is FFSource.NUMERIC
-    one = _OneFilter(ff)
     hi = float(ff.omegas[-1])
     if numeric and spectrum.extent() > 1.0001 * hi:
-        tail = float(_tail_estimate(spectrum, one.envelope, np.array([hi]),
-                                    None)[0])
+        tail = float(_tail_estimate(spectrum, ff.rows.envelope,
+                                    np.array([hi]), np.zeros(1, int))[0])
         probe = max(abs(float(np.trapezoid(
             spectrum.eval(ff.omegas) * ff.values, ff.omegas))), 1e-300)
         if tail > 1e-3 * probe:
             raise CoverageError(
                 "tabulated filter grid ends before the spectrum does "
                 f"(tail estimate {tail:.3e} vs integral {probe:.3e})")
-    chis, info = _chi_rows(spectrum, one, [_grid_edges(ff.omegas)],
+    chis, info = _chi_rows(spectrum, ff.rows, [_grid_edges(ff.omegas)],
                            np.array([ff.duration]), rel_tol, numeric)
     return float(chis[0]), {key: info[key][0].item() for key in info}
 

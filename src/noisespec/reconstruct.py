@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .filters import cpmg_ff, peak_stats
+from .filters import _cpmg_values, cpmg_ff, peak_stats
 from .forward import AbscissaKind, CoherenceCurve, filter_for
 from .sequences import Family, SequenceSpec
 
@@ -213,8 +213,8 @@ def _harmonic_correction(omegas: np.ndarray, s0: np.ndarray, ns: np.ndarray,
             grid = np.unique(np.concatenate([grid, kw[(kw > lo) & (kw < omega_top)]]))
             s_hat = np.interp(grid, kw, np.maximum(ks, 0.0),
                               left=max(ks[0], 0.0), right=0.0)
-            ff_vals = cpmg_ff(n, t, grid).values
-            corr = float(np.trapezoid(s_hat * ff_vals, grid)) / area
+            corr = float(np.trapezoid(s_hat * _cpmg_values(grid, n, t),
+                                      grid)) / area
         values[k] = s0[k] - corr
     return values
 

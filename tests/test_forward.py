@@ -7,12 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from noisespec import (
     AbscissaKind,
     CoherenceCurve,
     CoverageError,
+    FFSource,
     Family,
+    FilterFunction,
     Provenance,
     Sampling,
     SequenceSpec,
@@ -92,11 +95,15 @@ def test_chi_detailed_counts_quadrature_nodes(bath):
     ff = cpmg_ff(4, 2e-5)
     sizes = []
 
-    def counted(w):
-        sizes.append(np.size(w))
-        return ff.evaluate(w)
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(ff.rows, name)
 
-    value, info = chi_detailed(bath, replace(ff, evaluator=counted))
+        def values(self, w, rows):
+            sizes.append(np.size(w))
+            return ff.rows.values(w, rows)
+
+    value, info = chi_detailed(bath, replace(ff, rows=Counted()))
     # every K15 panel costs 15 evaluations, and every one is counted
     assert info["nodes"] > 0 and info["nodes"] % 15 == 0
     assert info["nodes"] == sum(sizes)
@@ -123,6 +130,40 @@ def test_rows_that_extend_keep_their_bits_in_a_batch():
     assert np.array_equal(chis, [value for value, _ in alone])
     assert list(info["nodes"]) == [i["nodes"] for _, i in alone]
     assert np.all(info["tail_estimate"] <= 1e-4 * 2.0 * chis / rows.durations)
+    # integrated from 0, the short grids miss none of the weight below them
+    full = chi(bath, dysco_ff(specs[0]))
+    assert chis[0] == pytest.approx(full, rel=1e-4)
+    assert chis[2] == pytest.approx(full, rel=1e-4)
+
+
+@pytest.mark.parametrize("f0", [3e4, 1.2e5])
+@pytest.mark.parametrize("t", [2e-4, 1e-3])
+@pytest.mark.parametrize("make", [SequenceSpec.dysco, SequenceSpec.gdysco],
+                         ids=["dysco", "gdysco"])
+def test_carrier_chi_matches_an_independent_quadrature(bath, make, t, f0):
+    # a carrier grid spans f0 +- 20 lobes, but the sinc^2 far lobes reach
+    # down to DC: at 1.2e5 Hz and 1e-3 s the 392 krad/s line lies wholly
+    # below the grid, under them
+    spec = make(t, f0)
+    ff = filter_for(spec)
+    lobe = 2.0 * math.pi / t
+    edges = np.arange(0.0, 1.5e7 + lobe, lobe)
+
+    def f(w):
+        return float(bath.eval(w) * ff.evaluate(w))
+
+    ref = 0.5 * t * sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                        for a, b in zip(edges[:-1], edges[1:]))
+    top, w0 = edges[-1], 2.0 * math.pi * f0
+    if spec.family is Family.DYSCO:
+        # past top, S < 2 S(top) (top / w)^2 and FF < 1 / (pi t (w - w0)^2)
+        tail = 2.0 * float(bath.eval(top)) \
+            / (6.0 * math.pi * top * (1.0 - w0 / top) ** 2)
+        assert tail <= 1e-8 * ref
+    else:
+        assert ff.evaluate(top) == 0.0     # the Gaussian line has underflowed
+    value = chi(bath, ff, rel_tol=1e-6)
+    assert abs(value / ref - 1.0) <= 1e-6
 
 
 def test_comb_past_a_short_grid_is_integrated_to_its_mean_start():
@@ -228,6 +269,17 @@ def test_numeric_filter_must_cover_the_spectrum(bath):
     assert info["omega_max"] == covering.omegas[-1]
     with pytest.raises(CoverageError, match="ends before the spectrum"):
         chi_detailed(bath, short)
+
+
+def test_a_bare_table_is_coverage_checked():
+    # a FilterFunction built from arrays alone carries the same tail
+    # envelope as numeric_ff's, so a short grid cannot truncate chi silently
+    bath = gaussian_peak(2e4, 1e5, 3e6)
+    short = _trace_filter(SequenceSpec.cpmg(2, duration=1e-4), 80.0)
+    table = FilterFunction(short.omegas, short.values, short.duration,
+                           FFSource.NUMERIC)
+    with pytest.raises(CoverageError, match="ends before the spectrum"):
+        chi_detailed(bath, table)
 
 
 def test_numeric_filter_tail_past_the_extent_is_rejected():
