@@ -17,6 +17,7 @@ trace, which is the cross-check path the analytic forms are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,7 @@ from .sequences import Family, SensitivityTrace, SequenceSpec
 
 _POLE_NUDGE = 1e-9  # relative abscissa shift at removable singularities
 _TWO_PI = 2.0 * math.pi
+_EDGE_STRIDE = 32   # grid nodes per first quadrature panel
 
 
 class FFSource(str, Enum):
@@ -43,11 +45,12 @@ class FilterFunction:
     integrates.
 
     ``omegas`` are angular frequencies (rad/s, strictly increasing, > 0);
-    ``values`` carry units of seconds.  An analytic filter's ``rows`` is its
-    closed form as a one-row :class:`FilterRows`; a table built without
-    ``rows`` gets a :class:`_TableRow`, which interpolates it linearly (zero
-    outside the grid) and bounds FF past the grid by the 1/omega^2
-    envelope of its last nodes.
+    ``values`` carry units of seconds.  The table serves display and
+    :func:`peak_stats`; ``chi`` reads ``rows`` alone.  An analytic filter's
+    ``rows`` is its closed form as a one-row :class:`FilterRows`; a table
+    built without ``rows`` gets a :class:`_TableRow`, which interpolates it
+    linearly (zero outside the grid) and bounds FF past the grid by the
+    1/omega^2 envelope of its last nodes.
     """
 
     omegas: np.ndarray
@@ -68,7 +71,8 @@ class FilterFunction:
             raise ValidationError("FF values must be finite and non-negative")
         if self.rows is None or isinstance(self.rows, _TableRow):
             # a table's row reads its own values, also after ``replace``
-            object.__setattr__(self, "rows", _TableRow(self.omegas, self.values))
+            object.__setattr__(self, "rows", _TableRow(self.omegas, self.values,
+                                                       self.duration))
 
     def evaluate(self, omega: np.ndarray | float) -> np.ndarray:
         return self.rows.values(np.asarray(omega, dtype=float), 0)
@@ -81,15 +85,24 @@ def _inverse_square(coef, w: np.ndarray) -> np.ndarray:
     return coef / np.maximum(w, 1e-300) ** 2
 
 
+def _grid_edges(grids: np.ndarray) -> np.ndarray:
+    """Every 32nd node of each grid (last axis) and its last."""
+    return np.concatenate([grids[..., ::_EDGE_STRIDE], grids[..., -1:]], -1)
+
+
 class _TableRow:
     """A tabulated filter as a batch of one row, in ``FilterRows``' terms:
     linear interpolation, zero outside the grid, and no comb.  Its envelope
     past the grid is 4x the mean of omega^2 FF over the last 8 nodes,
-    over omega^2."""
+    over omega^2; ``chi`` integrates it only up to its last node."""
 
-    def __init__(self, omegas: np.ndarray, values: np.ndarray):
+    def __init__(self, omegas: np.ndarray, values: np.ndarray, duration: float):
         self.omegas, self.table = omegas, values
+        self.durations = np.array([duration])
         self.tail = float(np.mean(values[-8:] * omegas[-8:] ** 2)) * 4.0
+
+    def edges(self, rows) -> np.ndarray:
+        return _grid_edges(self.omegas)[None]
 
     def values(self, w: np.ndarray, rows) -> np.ndarray:
         return np.interp(w, self.omegas, self.table, left=0.0, right=0.0)
@@ -109,7 +122,7 @@ class FilterRows:
     or only in modulation frequency (one carrier template); ``of`` reads
     everything else from the first sequence.  Each method takes angular
     frequencies ``w`` whose last axis runs over the rows ``rows`` (an index
-    array of that length), or a single row index.
+    array that broadcasts against it), or a single row index.
     """
 
     family: Family
@@ -129,6 +142,19 @@ class FilterRows:
                    w0=_TWO_PI * np.array([s.mod_frequency for s in specs]),
                    envelope_sigma=first.envelope_sigma or 0.0,
                    amplitude=first.amplitude)
+
+    def grid(self, rows) -> np.ndarray:
+        """Each row's default grid (nodes on the last axis)."""
+        if self.family.pulsed:
+            t = np.expand_dims(self.durations[rows], -1)
+            return _unit_cpmg_omegas(self.n_pulses) / t
+        return _carrier_grid(self.w0[rows], float(self.durations[0]))
+
+    def edges(self, rows) -> np.ndarray:
+        """Each row's first quadrature panel edges: ``_grid_edges`` of its
+        grid, from 0 for a carrier, whose sinc^2 far lobes reach DC."""
+        edges = _grid_edges(self.grid(rows))
+        return edges if self.family.pulsed else np.insert(edges, 0, 0.0, -1)
 
     def values(self, w: np.ndarray, rows) -> np.ndarray:
         """FF of each row."""
@@ -245,6 +271,14 @@ def default_cpmg_omegas(n_pulses: int, duration: float,
     return z / duration
 
 
+@functools.cache
+def _unit_cpmg_omegas(n_pulses: int) -> np.ndarray:
+    """The default grid at t = 1 s, read-only: at t it is this / t."""
+    grid = default_cpmg_omegas(n_pulses, 1.0)
+    grid.flags.writeable = False
+    return grid
+
+
 def cpmg_ff(n_pulses: int, duration: float,
             omegas: np.ndarray | None = None) -> FilterFunction:
     """Closed-form filter function of an n-pulse train of total length t.
@@ -262,16 +296,13 @@ def cpmg_ff(n_pulses: int, duration: float,
         raise ValidationError("n_pulses must be a positive integer")
     if duration <= 0.0:
         raise ValidationError("duration must be positive")
-    n, t = int(n_pulses), float(duration)
-    if omegas is None:
-        omegas = default_cpmg_omegas(n, t)
-    omegas = np.asarray(omegas, dtype=float)
-    return _analytic_ff(FilterRows(Family.CPMG, np.array([t]), n_pulses=n),
-                        omegas, FFSource.ANALYTIC_CPMG)
+    rows = FilterRows(Family.CPMG, np.array([float(duration)]),
+                      n_pulses=int(n_pulses))
+    return _analytic_ff(rows, omegas, FFSource.ANALYTIC_CPMG)
 
 
-def _analytic_ff(rows: FilterRows, omegas: np.ndarray,
-                 source: FFSource) -> FilterFunction:
+def _analytic_ff(rows: FilterRows, omegas, source: FFSource) -> FilterFunction:
+    omegas = rows.grid(0) if omegas is None else np.asarray(omegas, float)
     return FilterFunction(omegas, rows.values(omegas, 0),
                           float(rows.durations[0]), source, rows=rows)
 
@@ -296,13 +327,17 @@ def _gdysco_values(omega: np.ndarray, w0: float, t: float, sigma: float,
     return scale * np.exp(-(sigma * (w - w0)) ** 2)
 
 
+def _carrier_grid(w0, duration, span=20.0, points=2000) -> np.ndarray:
+    """Linear grid across each line w0 +/- 2 pi span/duration (last axis)."""
+    half = _TWO_PI * span / duration
+    lo = np.maximum(w0 - half, 1e-6 * w0)
+    return np.linspace(lo, w0 + half, points, axis=-1)
+
+
 def default_continuous_omegas(spec: SequenceSpec, span: float = 20.0,
                               points: int = 2000) -> np.ndarray:
     """Linear grid of ``points`` samples across f0 +/- span/duration."""
-    w0 = _TWO_PI * spec.mod_frequency
-    half = _TWO_PI * span / spec.duration
-    lo = max(w0 - half, 1e-6 * w0)
-    return np.linspace(lo, w0 + half, points)
+    return _carrier_grid(_TWO_PI * spec.mod_frequency, spec.duration, span, points)
 
 
 def dysco_ff(spec: SequenceSpec, omegas: np.ndarray | None = None) -> FilterFunction:
@@ -315,9 +350,6 @@ def dysco_ff(spec: SequenceSpec, omegas: np.ndarray | None = None) -> FilterFunc
     """
     if spec.family.pulsed:
         raise ValidationError("dysco_ff needs a continuous-family spec")
-    if omegas is None:
-        omegas = default_continuous_omegas(spec)
-    omegas = np.asarray(omegas, dtype=float)
     src = FFSource.ANALYTIC_GDYSCO if spec.family is Family.GDYSCO \
         else FFSource.ANALYTIC_DYSCO
     return _analytic_ff(FilterRows.of([spec]), omegas, src)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .forward import AbscissaKind, CoherenceCurve, filter_for
+from .filters import FilterRows
+from .forward import AbscissaKind, CoherenceCurve
 from .noise import NoiseSpectrum, composite
 from .reconstruct import ReconstructedSpectrum
 
@@ -100,23 +101,23 @@ def _chi_operator(curve: CoherenceCurve,
     is (t_i / 2) FF_i(grid) times the trapezoid weights.
     """
     lo, hi = window
-    filters = [filter_for(replace(curve.sequence, duration=float(t), tau_free=None))
-               for t in curve.xs]
+    filters = FilterRows.of([replace(curve.sequence, duration=float(t),
+                                     tau_free=None) for t in curve.xs])
+    points = np.arange(curve.xs.size)
+    nodes = filters.grid(points)        # every point's default filter grid
     # 16 samples per filter oscillation: trapezoid error then largely
     # cancels across periods under the slow spectral envelope
     step = math.pi / (8.0 * float(curve.xs[-1]))
     count = int((hi - lo) / step) + 2
     parts = [np.linspace(lo, hi, min(max(count, 32), 60_000)),
-             np.geomspace(hi, 6.0 * hi, 33)]
-    parts += [ff.omegas[(ff.omegas < lo) | (ff.omegas > hi)] for ff in filters]
+             np.geomspace(hi, 6.0 * hi, 33), nodes[(nodes < lo) | (nodes > hi)]]
     grid = np.unique(np.concatenate(parts))
     grid = grid[grid > 0.0]
     w = np.empty_like(grid)
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
-    kernel = np.array([0.5 * float(t) * ff.evaluate(grid)
-                       for t, ff in zip(curve.xs, filters)])
+    kernel = 0.5 * curve.xs[:, None] * filters.values(grid, points[:, None])
     return grid, kernel * w
 
 

@@ -1,24 +1,19 @@
 """Forward model: dephasing exponents and synthetic coherence curves.
 
 chi(t) = (t/2) * integral_0^inf S(omega) FF(omega) d omega, C = exp(-chi).
-The quadrature is adaptive Gauss-Kronrod G7/K15 on panels whose first edges
-are every 32nd filter node, the spectrum's refinement points (every 32nd of
-an analytic spectrum's, every node of a table) and a geometric run past the
-filter grid; panels are bisected until the summed |K15 - G7| is below
-tolerance.  Past the grid and the spectrum's lines, a pulse comb's narrow
-lobes are integrated as the comb's exact period mean (4n + 2) / (pi t w^2),
-from a point where every term of the comb's cosine series has a vanishing
-sine; before that point, panels stay narrower than a lobe, and the point
-moves out while the mean's leading remainder is not negligible.  An
-envelope tail check extends the upper cutoff until the tail is within
-``rel_tol`` of chi (or rejects tabulated filters that would truncate
-significant weight).  A pulse train's panels start at its grid's first
-node, a carrier's at 0: the squared sinc's far lobes reach below its grid.
-Every sequence has one filter (``filter_for``), on its default grid.  One
-core integrates many rows at once: ``chi_detailed`` is a batch of one (the
-filter's own evaluator ``FilterFunction.rows``), and curve synthesis
-integrates a whole curve in one pass, each point bit for bit as it would
-be alone.
+The quadrature is adaptive Gauss-Kronrod G7/K15 and reads a filter only
+through its evaluator (``filters.FilterRows``, or a table's row).  Its
+first panels end at every 32nd node of the filter's default grid or table
+(from 0 for a carrier), at the spectrum's refinement points and on a
+geometric run past the grid, and are bisected until the summed |K15 - G7|
+is below tolerance.  Past the grid and the spectrum's lines a pulse comb's
+narrow lobes enter as the comb's exact period mean (4n + 2) / (pi t w^2),
+and an envelope tail check extends the cutoff until the tail is within
+``rel_tol`` of chi, or rejects a table that would truncate significant
+weight (``_chi_rows``).  Every sequence has one filter (``filter_for``).
+One core integrates many rows at once: ``chi_detailed`` is a batch of one
+(``FilterFunction.rows``), and curve synthesis integrates a whole curve in
+one pass, each point bit for bit as it would be alone.
 """
 
 from __future__ import annotations
@@ -30,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import CoverageError, NumericError, ValidationError
-from .filters import FFSource, FilterFunction, FilterRows, cpmg_ff, \
-    default_continuous_omegas, default_cpmg_omegas, dysco_ff
+from .filters import _EDGE_STRIDE, FilterFunction, FilterRows, _TableRow, \
+    cpmg_ff, dysco_ff
 from .noise import ComponentKind, NoiseSpectrum
 from .sequences import SequenceSpec
 
@@ -119,13 +114,7 @@ _GK_X = np.array([-x for x in _XK] + [0.0] + list(_XK[::-1]))
 _GK_WK = np.array(_WK + _WK[-2::-1])
 _GK_WG = np.array(_WG + _WG[-2::-1])
 _GK_BLOCK = 512           # panels per evaluation block
-_EDGE_STRIDE = 32         # filter and spectrum nodes per initial panel
 _LOBE_PANEL_Z = 4.0 * math.pi   # widest panel (in omega * t) across a comb
-
-
-def _grid_edges(omegas: np.ndarray) -> np.ndarray:
-    """First panel edges of a filter grid: every 32nd node and the last."""
-    return np.append(omegas[::_EDGE_STRIDE], omegas[-1])
 
 
 def _gk_panels(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
@@ -233,17 +222,14 @@ def _comb_error(spectrum: NoiseSpectrum, filters, start: np.ndarray,
     return np.abs(slope * filters.comb_remainder(start, rows))
 
 
-def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
-              duration: np.ndarray, rel_tol: float, numeric: bool = False):
+def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
     """chi of a batch of rows (curve points) and its quadrature diagnostics.
 
     ``filters`` is a ``filters.FilterRows``, or the one-row evaluator
-    ``FilterFunction.rows`` of a single filter: row r's filter spans its
-    grid edges ``edges[r]`` (``_grid_edges``).  A row integrates to
-    max(last node, spectrum extent), or to the last node for a tabulated
-    (``numeric``) filter, from its grid's first node, or from 0 for an
-    analytic carrier (no comb, not ``numeric``), whose sinc^2 far lobes
-    reach below its grid.  Its first panels end at its grid edges and at
+    ``FilterFunction.rows`` of a single filter, and supplies each row's
+    ``durations`` and first panel ``edges``.  A row integrates from its
+    first edge to max(last edge, spectrum extent), or to its last edge for
+    a table (``_TableRow``).  Its first panels end at its edges and at
     the spectrum's refinement points: every 32nd of an analytic spectrum's
     dense samples, and every node of a tabulated spectrum, whose linear
     pieces kink there.  Past the grid, a pulse comb is integrated on panels
@@ -256,13 +242,12 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
     be extended: a tail above 1e-3 of its value raises ``CoverageError``.
     ``rel_err`` adds the comb remainder to the Kronrod-Gauss estimate.
     """
-    hi = np.array([e[-1] for e in edges])
-    target = hi if numeric else np.maximum(hi, spectrum.extent())
-    comb = filters.comb_start(np.maximum(hi, spectrum.features_end()),
-                              np.arange(hi.size))
-    lo = np.array([e[0] for e in edges])
-    if not numeric:
-        lo[np.isinf(comb)] = 0.0    # a carrier's far lobes reach down to DC
+    duration, table = filters.durations, isinstance(filters, _TableRow)
+    ids = np.arange(duration.size)
+    edges = filters.edges(ids)
+    lo, hi = edges[:, 0], edges[:, -1]
+    target = hi if table else np.maximum(hi, spectrum.extent())
+    comb = filters.comb_start(np.maximum(hi, spectrum.features_end()), ids)
     top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
     refine = spectrum.refinement_points()
     if spectrum.table is None:
@@ -271,7 +256,7 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
 
     def first_edges(r):
         near = (refine >= 0.999 * lo[r]) & (refine <= top[r])
-        parts = [[lo[r]], edges[r], refine[near]]
+        parts = [edges[r], refine[near]]
         start = hi[r]
         if hi[r] < comb[r] < np.inf:
             k = math.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
@@ -281,7 +266,7 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
             parts.append(np.geomspace(start, top[r], 33))
         return np.unique(np.concatenate(parts))
 
-    edges = [first_edges(r) for r in range(hi.size)]
+    edges = [first_edges(r) for r in ids]
     hi_used = top.copy()
     value, rel_err, tail = (np.empty(hi.size) for _ in range(3))
     nodes = np.zeros(hi.size, dtype=np.int64)
@@ -299,13 +284,14 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, edges: list,
         nodes[todo] += n
         tail[todo] = _tail_estimate(spectrum, filters.envelope, hi_used[todo],
                                     todo)
-        short = tail[todo] > (1e-3 if numeric else rel_tol) * scale
+        short = tail[todo] > (1e-3 if table else rel_tol) * scale
         early = comb_err > 0.25 * rel_tol * scale
         if not np.any(short | early):
             break
-        if numeric:
+        if table:
             raise CoverageError(
-                "tabulated filter grid truncates significant spectral weight")
+                "tabulated filter grid ends before the spectrum does and "
+                f"truncates {float(tail[todo][0] / scale[0]):.2e} of chi")
         # a comb mean that starts too early starts again further out, with
         # narrow panels up to it: the remainder falls at least as fast as
         # the (start)^-4 that this step assumes
@@ -334,28 +320,17 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
                  rel_tol: float = 1e-4) -> tuple[float, dict]:
     """Dephasing exponent and quadrature diagnostics.
 
-    The info dict holds the upper cutoff ``omega_max``, the achieved relative
-    error estimate ``rel_err`` (sum |K15 - G7| / |sum K15| over the final
-    panels, plus the leading remainder of a pulse comb's period mean), the
-    envelope ``tail_estimate`` past the cutoff and ``nodes``,
-    the number of integrand evaluations.  An analytic filter's cutoff grows
-    until that tail is at most ``rel_tol`` of chi.  A tabulated (numeric)
-    filter whose grid ends before the spectrum does, or whose tail exceeds
-    1e-3 of chi, raises ``CoverageError``.
+    The info dict holds the upper cutoff ``omega_max``, the achieved
+    relative error estimate ``rel_err`` (sum |K15 - G7| / |sum K15| over the
+    final panels, plus the leading remainder of a pulse comb's period mean),
+    the envelope ``tail_estimate`` past the cutoff and ``nodes``, the number
+    of integrand evaluations.  Only ``ff.rows`` is read: an analytic
+    filter's panels start on its sequence's default grid, whatever grid its
+    table was drawn on, and its cutoff grows until that tail is at most
+    ``rel_tol`` of chi.  A table built without ``rows`` (whatever its
+    ``source``) ends at its last node and raises ``CoverageError`` past 1e-3.
     """
-    numeric = ff.source is FFSource.NUMERIC
-    hi = float(ff.omegas[-1])
-    if numeric and spectrum.extent() > 1.0001 * hi:
-        tail = float(_tail_estimate(spectrum, ff.rows.envelope,
-                                    np.array([hi]), np.zeros(1, int))[0])
-        probe = max(abs(float(np.trapezoid(
-            spectrum.eval(ff.omegas) * ff.values, ff.omegas))), 1e-300)
-        if tail > 1e-3 * probe:
-            raise CoverageError(
-                "tabulated filter grid ends before the spectrum does "
-                f"(tail estimate {tail:.3e} vs integral {probe:.3e})")
-    chis, info = _chi_rows(spectrum, ff.rows, [_grid_edges(ff.omegas)],
-                           np.array([ff.duration]), rel_tol, numeric)
+    chis, info = _chi_rows(spectrum, ff.rows, rel_tol)
     return float(chis[0]), {key: info[key][0].item() for key in info}
 
 
@@ -367,13 +342,6 @@ def chi(spectrum: NoiseSpectrum, ff: FilterFunction, rel_tol: float = 1e-4) -> f
 # ---------------------------------------------------------------------------
 # filter selection
 # ---------------------------------------------------------------------------
-
-def _default_omegas(spec: SequenceSpec) -> np.ndarray:
-    """The grid that ``filter_for(spec)`` tabulates its filter on."""
-    if spec.family.pulsed:
-        return default_cpmg_omegas(spec.n_pulses, spec.duration)
-    return default_continuous_omegas(spec)
-
 
 def filter_for(spec: SequenceSpec) -> FilterFunction:
     """The filter function FF that ``chi`` integrates for one sequence:
@@ -393,22 +361,20 @@ def filter_for(spec: SequenceSpec) -> FilterFunction:
 def _coherences(spectrum: NoiseSpectrum, specs: list, rel_tol: float):
     """exp(-chi) at each sequence of ``specs`` (one curve: a pulsed family
     at one n, or a carrier sweep at one duration), plus the curve's
-    quadrature diagnostics: the worst achieved ``rel_err``, the largest
-    filter grid, the total node count and the last point's ``omega_max``.
+    quadrature diagnostics: the worst achieved ``rel_err``, the size of
+    the default filter grid whose nodes start the panels (the same at every
+    point), the total node count and the last point's ``omega_max``.
 
-    Each point takes only the panel edges of its filter's grid; no filter
-    table is built.  The whole curve is integrated in one batch of
-    ``FilterRows``, and each point equals
+    No filter table is built: the whole curve is integrated in one batch
+    of ``FilterRows``, and each point equals
     ``chi_detailed(spectrum, filter_for(spec), rel_tol)`` bit for bit.
     """
-    grids = [_default_omegas(spec) for spec in specs]
-    edges = [_grid_edges(omegas) for omegas in grids]
-    grid = max(omegas.size for omegas in grids)
     filters = FilterRows.of(specs)
-    chis, info = _chi_rows(spectrum, filters, edges, filters.durations, rel_tol)
+    chis, info = _chi_rows(spectrum, filters, rel_tol)
     return np.array([math.exp(-c) for c in chis]), {
         "rel_tol": rel_tol, "omega_max": float(info["omega_max"][-1]),
-        "rel_err_max": float(np.max(info["rel_err"])), "ff_grid_max": grid,
+        "rel_err_max": float(np.max(info["rel_err"])),
+        "ff_grid_max": filters.grid(0).size,
         "quad_nodes": int(np.sum(info["nodes"]))}
 
 

@@ -27,6 +27,7 @@ from noisespec import (
     composite,
     cpmg_ff,
     default_cpmg_omegas,
+    default_experiment_spectrum,
     dysco_ff,
     filter_for,
     gaussian_peak,
@@ -39,7 +40,7 @@ from noisespec import (
     write_curve,
 )
 from noisespec.filters import FilterRows
-from noisespec.forward import _chi_rows, _grid_edges
+from noisespec.forward import _GK_X, _chi_rows
 
 
 def _flat_spectrum(level: float, top: float = 1e9):
@@ -111,29 +112,23 @@ def test_chi_detailed_counts_quadrature_nodes(bath):
 
 
 def test_rows_that_extend_keep_their_bits_in_a_batch():
-    # carrier grids that stop below the line (500 and 3000 rad/s, the
-    # line at 2 pi kHz) leave an envelope tail past them above rel_tol of
-    # the value, so the cutoff grows 6x until it is not: one row extends
-    # twice, one never, one three times, and each equals its own
-    # chi_detailed bit for bit, nodes included
+    # DYSCO rows of 1 ms on a DC line narrower than a lobe: at 1 and 2 kHz
+    # the squared sinc has a null at DC, so chi is small and the envelope
+    # tail past the default grid exceeds rel_tol of it; the cutoff grows
+    # 6x until it does not, once at 1 kHz, twice at 2 kHz and never at
+    # 1.5 kHz.  Each row equals its own chi_detailed bit for bit
     bath = lorentzian_dc(1e3, 0.5)
-    specs = [SequenceSpec.dysco(1e-3, f) for f in (1e3, 2e3, 1e3)]
-    ffs = [dysco_ff(specs[0], np.linspace(1e2, 3e3, 64)), dysco_ff(specs[1]),
-           dysco_ff(specs[2], np.linspace(1e2, 5e2, 64))]
+    specs = [SequenceSpec.dysco(1e-3, f) for f in (1.5e3, 1e3, 2e3)]
     rows = FilterRows.of(specs)
-    chis, info = _chi_rows(bath, rows, [_grid_edges(ff.omegas) for ff in ffs],
-                           rows.durations, 1e-4)
-    alone = [chi_detailed(bath, ff) for ff in ffs]
-    cutoffs = [max(ff.omegas[-1], bath.extent()) for ff in ffs]
-    assert np.allclose(info["omega_max"] / cutoffs, [36.0, 1.0, 216.0],
+    chis, info = _chi_rows(bath, rows, 1e-8)
+    alone = [chi_detailed(bath, filter_for(spec), 1e-8) for spec in specs]
+    cutoffs = np.maximum(rows.edges(np.arange(3))[:, -1], bath.extent())
+    assert np.allclose(info["omega_max"] / cutoffs, [1.0, 6.0, 36.0],
                        rtol=1e-15, atol=0.0)
     assert np.array_equal(chis, [value for value, _ in alone])
-    assert list(info["nodes"]) == [i["nodes"] for _, i in alone]
-    assert np.all(info["tail_estimate"] <= 1e-4 * 2.0 * chis / rows.durations)
-    # integrated from 0, the short grids miss none of the weight below them
-    full = chi(bath, dysco_ff(specs[0]))
-    assert chis[0] == pytest.approx(full, rel=1e-4)
-    assert chis[2] == pytest.approx(full, rel=1e-4)
+    for key in ("omega_max", "rel_err", "nodes"):
+        assert list(info[key]) == [i[key] for _, i in alone], key
+    assert np.all(info["tail_estimate"] <= 1e-8 * 2.0 * chis / rows.durations)
 
 
 @pytest.mark.parametrize("f0", [3e4, 1.2e5])
@@ -166,23 +161,50 @@ def test_carrier_chi_matches_an_independent_quadrature(bath, make, t, f0):
     assert abs(value / ref - 1.0) <= 1e-6
 
 
-def test_comb_past_a_short_grid_is_integrated_to_its_mean_start():
-    # Hahn grids that stop inside the passband (z = 5 and 3): the comb is
-    # integrated on narrow panels out to z = 14 pi (the first multiple of
-    # 2 pi n past 40 n) and as its period mean beyond; the envelope tail
-    # past z = 14 pi still exceeds rel_tol of chi, so the cutoff grows 6x
-    # once, to z = 84 pi, and chi equals the default grid's
-    t = np.array([1e-4, 2e-4, 1e-4])
-    bath = lorentzian_dc(1e3, 50.0)
-    ffs = [cpmg_ff(1, t[0], np.linspace(1e2, 5e4, 64)), cpmg_ff(1, t[1]),
-           cpmg_ff(1, t[2], np.linspace(1e2, 3e4, 64))]
+def test_comb_past_the_grid_is_integrated_on_lobe_panels_then_as_its_mean():
+    # Hahn rows, whose default grids end at z = 39.7: past the grid the
+    # comb is integrated on panels at most 4 pi / t wide out to z = 14 pi
+    # (the first multiple of 2 pi n past 40 n), and as its period mean
+    # beyond.  Each row equals its own chi_detailed and the exact OU chi
+    t = np.array([1e-4, 2e-4])
+    bath = lorentzian_dc(1e3, 1e4)
     rows = FilterRows(Family.CPMG, t, n_pulses=1)
-    chis, info = _chi_rows(bath, rows, [_grid_edges(ff.omegas) for ff in ffs],
-                           t, 1e-4)
-    assert np.allclose(info["omega_max"] * t, 84.0 * math.pi, rtol=1e-15)
-    assert np.array_equal(chis, [chi(bath, ff) for ff in ffs])
-    assert chis[0] == pytest.approx(chi(bath, cpmg_ff(1, t[0])), rel=1e-12)
-    assert chis[2] == pytest.approx(chis[0], rel=1e-12)
+    panels = {"values": [], "comb_mean": []}
+
+    class Recorded:
+        def __getattr__(self, name):
+            return getattr(rows, name)
+
+        def values(self, w, r):
+            panels["values"].append((w, r))
+            return rows.values(w, r)
+
+        def comb_mean(self, w, r):
+            panels["comb_mean"].append((w, r))
+            return rows.comb_mean(w, r)
+
+    chis, info = _chi_rows(bath, Recorded(), 1e-4)
+    end = rows.edges(np.arange(2))[:, -1] * t
+    start = 14.0 * math.pi
+    assert np.all(end < 40.0)
+    for kind, calls in panels.items():
+        w = np.concatenate([w for w, _ in calls], axis=1)
+        r = np.concatenate([r for _, r in calls])
+        half = (w[-1] - w[0]) / (2.0 * _GK_X[-1])
+        a, b = (w[7] - half) * t[r], (w[7] + half) * t[r]     # in z = w t
+        if kind == "values":
+            past = a >= end[r] * (1.0 - 1e-12)
+            assert set(r[past]) == {0, 1}
+            assert np.all(b[past] - a[past] <= 4.0 * math.pi * (1.0 + 1e-12))
+            assert np.all(b <= start * (1.0 + 1e-12))
+        else:
+            assert set(r) == {0, 1}
+            assert np.all(a >= start * (1.0 - 1e-12))
+    alone = [chi_detailed(bath, cpmg_ff(1, float(tk))) for tk in t]
+    assert np.array_equal(chis, [value for value, _ in alone])
+    assert list(info["nodes"]) == [i["nodes"] for _, i in alone]
+    exact = np.array([_ou_cpmg_chi(1, tk, 1e3, 1e4) for tk in t])
+    assert np.all(np.abs(chis / exact - 1.0) <= 1e-4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -271,13 +293,14 @@ def test_numeric_filter_must_cover_the_spectrum(bath):
         chi_detailed(bath, short)
 
 
-def test_a_bare_table_is_coverage_checked():
-    # a FilterFunction built from arrays alone carries the same tail
-    # envelope as numeric_ff's, so a short grid cannot truncate chi silently
+@pytest.mark.parametrize("source", list(FFSource), ids=lambda s: s.value)
+def test_a_bare_table_is_coverage_checked(source):
+    # a FilterFunction built from arrays alone is integrated as a table,
+    # whatever its label, with the same tail envelope as numeric_ff's, so
+    # a short grid cannot truncate chi silently
     bath = gaussian_peak(2e4, 1e5, 3e6)
     short = _trace_filter(SequenceSpec.cpmg(2, duration=1e-4), 80.0)
-    table = FilterFunction(short.omegas, short.values, short.duration,
-                           FFSource.NUMERIC)
+    table = FilterFunction(short.omegas, short.values, short.duration, source)
     with pytest.raises(CoverageError, match="ends before the spectrum"):
         chi_detailed(bath, table)
 
@@ -355,6 +378,30 @@ def test_cpmg_synthesis_matches_exact_ou_chi(sigma):
         exact = np.array([_ou_cpmg_chi(n, t, delta, sigma) for t in times])
         rel = np.abs(-np.log(curve.coherences) / exact - 1.0)
         assert np.max(rel) <= 1e-4, (n, times[np.argmax(rel)], np.max(rel))
+
+
+@pytest.mark.parametrize("spec, bath, grid", [
+    (SequenceSpec.dysco(1e-3, 1e3), lorentzian_dc(1e3, 0.5),
+     np.linspace(1e2, 3e3, 64)),
+    (SequenceSpec.dysco(1e-3, 1e3), lorentzian_dc(1e3, 0.5),
+     np.linspace(1e2, 5e2, 64)),
+    (SequenceSpec.hahn(1e-4), lorentzian_dc(1e3, 50.0),
+     np.linspace(1e2, 5e4, 64)),
+    (SequenceSpec.hahn(1e-4), lorentzian_dc(1e3, 50.0),
+     np.linspace(1e2, 3e4, 64)),
+    (SequenceSpec.cpmg(8, duration=2e-4), default_experiment_spectrum(),
+     1.01 * default_cpmg_omegas(8, 2e-4)),
+    (SequenceSpec.gdysco(2e-4, 1e5), default_experiment_spectrum(),
+     np.geomspace(1e5, 1e7, 500)),
+], ids=["dysco-3e3", "dysco-5e2", "hahn-5e4", "hahn-3e4", "cpmg8-shifted",
+        "gdysco-geometric"])
+def test_an_analytic_filters_chi_does_not_depend_on_its_tables_grid(
+        spec, bath, grid):
+    # chi integrates the closed form from the sequence's own default grid,
+    # so the grid its table is drawn on moves no bit of chi or its info
+    ff = cpmg_ff(spec.n_pulses, spec.duration, omegas=grid) \
+        if spec.family.pulsed else dysco_ff(spec, omegas=grid)
+    assert chi_detailed(bath, ff) == chi_detailed(bath, filter_for(spec))
 
 
 @pytest.mark.parametrize("spec", [
