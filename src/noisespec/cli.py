@@ -39,11 +39,23 @@ _TWO_PI = 2.0 * math.pi
 # shared argument plumbing
 # ---------------------------------------------------------------------------
 
+def _seed(token: str) -> int:
+    try:
+        seed = int(token)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {token!r}")
+    return seed
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help="output directory (default: $NOISESPEC_OUTDIR or .)")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="non-negative integer")
     common.add_argument("--rel-tol", type=float, default=1e-4,
                         help="quadrature relative tolerance")
     common.add_argument("--config", default=None,
@@ -524,7 +536,7 @@ def _typed_defaults(parser: argparse.ArgumentParser, defaults: dict) -> dict:
                 raise ValidationError(bad)
             try:
                 value = action.type(str(value))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
                 raise ValidationError(bad) from None
         elif action.nargs is None and not isinstance(value, str):
             raise ValidationError(f"{bad}; expected a string"

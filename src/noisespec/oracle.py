@@ -18,20 +18,27 @@ Dirichlet factor D_m = sin(m omega dt / 2) / sin(omega dt / 2), so a pulsed
 trace costs modes x segments rather than modes x samples.  Per realization
 the phase is then phi = sum_k r_k cos(theta_k + psi_k) with
 r_k = A_k |I_k| and psi_k = arg I_k: one cosine per mode, evaluated for a
-block of realizations at once.  ``McResult.work`` counts realizations x
-modes plus modes x runs, which may not exceed 2e9 per call.
+block of realizations at once.  The phases are drawn in turns, x_k =
+theta_k / 2 pi uniform in [0, 1), and cos(2 pi (x_k + psi_k / 2 pi)) is
+evaluated from the fold f = x - rint(x) in [-1/2, 1/2] as T4 of
+cos(pi f / 2), a cosine within pi/4 (``_cos_turns``).  That is the same
+law and the same draws as cos(theta_k + psi_k); the results differ from a
+full-range cosine only by rounding, within 2e-15 per term.
+``McResult.work`` counts realizations x modes plus modes x runs, which may
+not exceed 2e9 per call.
 
 The realization indices are split into contiguous, nearly equal ranges,
 one per CPU in the process's affinity, and each range is filled by a
 thread; the random draws and the cosines release the GIL.  Realization i
 draws its phases from its own stream, seeded by (seed, i), and its phase
-is summed in the same order whatever range it falls in, so every result
-is bitwise the same for any number of CPUs.
+is summed in the same order whatever range or block it falls in, so every
+result is bitwise the same for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -45,6 +52,10 @@ from .sequences import SensitivityTrace
 _TWO_PI = 2.0 * math.pi
 # working-set size of one block in the mode-integral and realization kernels
 _BLOCK_BYTES = 4 << 20
+# modes per einsum in the realization loop: numpy's default buffer size
+_SUM_CHUNK = 8192
+# elements per pass of _cos_turns, a chunk that its nine passes find in cache
+_COS_CHUNK = 16384
 # samples per period of the highest mode: the trace must resolve it 10x over
 _OVERSAMPLE = 10.0
 # cap on McResult.work, to keep accidental huge runs from stalling the caller
@@ -76,12 +87,20 @@ class McConfig:
     omega_max: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_realizations", "seed", "spectral_components"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_realizations < 100:
             raise ValidationError("need at least 100 realizations")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.spectral_components < 8:
             raise ValidationError("need at least 8 spectral components")
-        if self.omega_max is not None and self.omega_max <= 0.0:
-            raise ValidationError("omega_max must be positive")
+        if self.omega_max is not None and not (
+                isinstance(self.omega_max, numbers.Real)
+                and 0.0 < self.omega_max < math.inf):
+            raise ValidationError("omega_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -135,6 +154,28 @@ def _mode_integrals(trace: SensitivityTrace, runs, omegas: np.ndarray):
     return ic, is_
 
 
+def _cos_turns(x: np.ndarray, scratch: np.ndarray) -> None:
+    """cos(2 pi x) in place on the rows of ``x``, ``scratch`` rows at a time.
+
+    The phase is folded to f = x - rint(x) in [-1/2, 1/2], which is exact,
+    and cos(2 pi f) = T4(c) = 8 c^2 (c^2 - 1) + 1 with c = cos(pi f / 2):
+    libm's cosine is several times faster within pi/4 than on a full turn,
+    and the result stays within 2e-15 of cos(2 pi x).
+    """
+    for lo in range(0, len(x), len(scratch)):
+        f = x[lo:lo + len(scratch)]
+        t = scratch[:len(f)]
+        np.rint(f, out=t)
+        f -= t
+        f *= 0.5 * math.pi
+        np.cos(f, out=f)
+        np.multiply(f, f, out=t)
+        np.subtract(t, 1.0, out=f)
+        f *= t
+        f *= 8.0
+        f += 1.0
+
+
 def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
                  cfg: McConfig = McConfig()) -> McResult:
     """Monte Carlo coherence of ``trace`` under ``spectrum``.
@@ -171,36 +212,46 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
     v = amps * is_
     # u cos(theta) - v sin(theta) = r cos(theta + psi)
     r = np.hypot(u, v)
-    psi = np.arctan2(v, u)
-
+    psi_turns = np.arctan2(v, u)
+    psi_turns /= _TWO_PI
     phis = np.empty(n)
     workers = min(_usable_cpus(), n)
     # contiguous, nearly equal ranges of realization indices, one per worker;
-    # the workers split one block budget, so the working set does not grow
+    # the workers split one block budget, so the working set does not grow;
+    # each share holds a block of rows and the few rows of _cos_turns's
+    # scratch, which stay in cache
     edges = [n * w // workers for w in range(workers + 1)]
-    rows = max(1, _BLOCK_BYTES // (8 * k * workers))
+    spare = max(1, _COS_CHUNK // k)
+    rows = max(1, _BLOCK_BYTES // (8 * k * workers) - spare)
     # allocated here, not in the workers, so that no thread's malloc arena
     # keeps a block after the call
-    blocks = np.empty((workers, min(rows, -(-n // workers)), k))
+    height = min(rows, -(-n // workers))
+    shares = np.empty((workers, height + min(spare, height), k))
+    blocks, scratches = shares[:, :height], shares[:, height:]
 
-    def fill(block: np.ndarray, lo: int, hi: int) -> None:
+    def fill(block: np.ndarray, scratch: np.ndarray, lo: int, hi: int) -> None:
         # realizations lo..hi-1 into phis[lo:hi], a block of rows at a time;
-        # random() x 2 pi is bitwise uniform(0, 2 pi), which computes
-        # 0 + 2 pi x next_double
+        # a row of random() in [0, 1) is theta / 2 pi, the phases in turns
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
-            theta = block[:stop - start]
-            for i, row in enumerate(theta, start):
+            x = block[:stop - start]
+            for i, row in enumerate(x, start):
                 np.random.default_rng([int(cfg.seed), i]).random(out=row)
-            theta *= _TWO_PI
-            theta += psi
-            np.cos(theta, out=theta)
+            x += psi_turns
+            _cos_turns(x, scratch)
             # einsum keeps the product on this thread: a threaded BLAS call
-            # per block only leaves its workers spinning through the next fill
-            phis[start:stop] = np.einsum("ij,j->i", theta, r)
+            # per block only leaves its workers spinning through the next fill.
+            # It sums up to _SUM_CHUNK modes of a row in one order whatever
+            # the block's height, but longer rows in an order that depends on
+            # it, so the modes are summed a chunk at a time
+            phi = phis[start:stop]
+            phi[:] = 0.0
+            for m in range(0, k, _SUM_CHUNK):
+                phi += np.einsum("ij,j->i", x[:, m:m + _SUM_CHUNK],
+                                 r[m:m + _SUM_CHUNK])
 
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, blocks, edges[:-1], edges[1:]))
+        list(pool.map(fill, blocks, scratches, edges[:-1], edges[1:]))
 
     cos_phi = np.cos(phis)
     phi_sq = phis * phis

@@ -359,6 +359,53 @@ def test_cli_bad_usage_exits_2():
         assert err.value.code == 2
 
 
+_SEEDED = {
+    "synth": ["synth", "--spectrum", "zero", "--family", "cpmg", "--n-list",
+              "2", "--times", "1e-5:1e-4:3", "--epsilon", "0.01"],
+    "oracle": ["oracle", "--spectrum", "zero", "--family", "cpmg", "--n", "2",
+               "--duration", "2e-5", "--n-realizations", "100",
+               "--modes", "8"],
+    "roundtrip": ["roundtrip", "--mode", "sd", "--rel-tol", "1e-3",
+                  "--bins", "24"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_cli_seed_must_be_a_non_negative_integer(tmp_path, capsys, command,
+                                                 seed):
+    with pytest.raises(SystemExit) as err:
+        cli_main([*_SEEDED[command], "--seed", seed, "--outdir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [-1, 2.5, "-3"])
+def test_cli_config_seed_must_be_a_non_negative_integer(tmp_path, capsys,
+                                                        command, seed):
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": seed}))
+    rc = cli_main([*_SEEDED[command], "--config", str(tmp_path / "cfg.json"),
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "config key 'seed'" in _one_line_error(capsys)
+
+
+def test_cli_negative_seed_prints_no_traceback(tmp_path):
+    src = str(Path(noisespec.fitting.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "noisespec", *_SEEDED["synth"],
+         "--seed", "-1", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "--seed" in run.stderr
+
+
 def test_cli_numeric_failure_exits_4(tmp_path, monkeypatch, small_curve):
     path = write_curve(small_curve, tmp_path / "c.csv")
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import j0
 
 from noisespec import (
     McConfig,
@@ -16,18 +17,20 @@ from noisespec import (
     build_trace,
     chi,
     cpmg_ff,
+    gaussian_peak,
+    lorentzian_dc,
     mc_coherence,
     tabulated,
 )
 from noisespec import oracle
-from noisespec.oracle import _constant_runs, _mode_integrals
+from noisespec.oracle import _constant_runs, _cos_turns, _mode_integrals
 
 # Frozen reference run: composite bath, CPMG-4 over 20 us, 512 modes over
 # the band the trace resolves, 400 realizations, seed 1.  Guards the
 # sampling conventions (one-sided spectral density, midpoint mode
 # placement, counter-seeded streams).
 _REF_COHERENCE = 0.6773180970553131
-_REF_CHI_EST = 0.3957438598253013
+_REF_CHI_EST = 0.39574385982530125
 _REF_CHI_EXP = 0.3873009624797149
 
 # The same run with the modes stopping at the spectrum extent, frozen from
@@ -230,11 +233,84 @@ def test_worker_count_never_changes_the_result(make, bath, dc_lorentzian,
 
 @pytest.mark.parametrize("seed, i", [(0, 0), (0, 9999), (1, 17), (2**31 - 2, 3)])
 def test_in_place_fill_is_bitwise_uniform(seed, i):
-    # the realization loop fills rows with random() and scales them by 2 pi
+    # the realization loop fills rows with random(), the phases in turns;
+    # 2 pi times them are the phases the serial reference draws
     row = np.empty(4096)
     np.random.default_rng([seed, i]).random(out=row)
     want = np.random.default_rng([seed, i]).uniform(0.0, 2.0 * math.pi, 4096)
     assert np.array_equal(row * (2.0 * math.pi), want)
+
+
+def test_cos_turns_matches_a_long_double_cosine():
+    # dense phases over two turns plus the fold's edges, against cos(2 pi f)
+    # of the exact fold f = x - rint(x) in long double
+    rng = np.random.default_rng(20)
+    edges = [0.5, -0.5, np.nextafter(1.5, 0.0), 0.0, 0.25, -0.25, 1.0,
+             np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), -0.0]
+    x = np.concatenate([rng.uniform(-0.5, 1.5, 2_000_000 - len(edges)), edges])
+    xl = x.astype(np.longdouble)
+    pi_l = 4.0 * np.arctan(np.longdouble(1.0))
+    want = np.cos(2.0 * pi_l * (xl - np.rint(xl)))
+    got = x.reshape(-1, 1000).copy()
+    _cos_turns(got, np.empty((7, 1000)))     # scratch shorter than the rows
+    assert np.max(np.abs(got.ravel() - want)) <= 2e-15
+
+
+def _criterion_06_pairs(bath, provider):
+    # the five pairs, traces and mode counts of criterion 06
+    pairs = [
+        (bath, SequenceSpec.cpmg(8, duration=2e-5), 4096),
+        (gaussian_peak(6e4, 3e4, 2.0 * math.pi * 8e4),
+         SequenceSpec.dysco(2e-4, 8e4), 4096),
+        (lorentzian_dc(1e5, 5e4), SequenceSpec.hahn(1e-4), 16384),
+        (gaussian_peak(3e5, 3e4, 5e5),
+         SequenceSpec.cpmg(4, duration=provider.omega0(4, 1.0) / 5e5), 4096),
+        (bath, SequenceSpec.gdysco(2e-4, 5e4), 4096),
+    ]
+    for spectrum, seq, modes in pairs:
+        floor = 20.0 / (2.0 * seq.tau_free) if seq.family.pulsed \
+            else 20.0 * seq.mod_frequency
+        rate = 1.2 * max(floor, 10.0 * spectrum.extent() / (2.0 * math.pi))
+        yield spectrum, build_trace(seq, rate), modes
+
+
+def test_coherence_matches_the_exact_mean_on_criterion_06_pairs(bath, provider):
+    # phi = sum_k r_k cos(theta_k + psi_k) with uniform theta_k has
+    # E[cos phi] = prod_k J0(r_k) exactly, Gaussian or not
+    for spectrum, trace, k in _criterion_06_pairs(bath, provider):
+        omega_max = _resolved_band(trace)
+        omegas = (np.arange(k) + 0.5) * omega_max / k
+        amps = np.sqrt(2.0 * spectrum.eval(omegas) * (omega_max / k) / math.pi)
+        ic, is_ = _dense_mode_integrals(trace, omegas)
+        exact = np.prod(j0(np.hypot(amps * ic, amps * is_)))
+        result = mc_coherence(spectrum, trace, McConfig(
+            n_realizations=4000, seed=0, spectral_components=k))
+        assert abs(result.coherence - exact) <= 4.0 * result.stderr
+
+
+def test_block_height_never_changes_the_result(dc_lorentzian, monkeypatch):
+    # blocks of 1, 2 and 3 rows against the default: einsum sums a row of
+    # more than 8192 modes in an order that depends on the block's height
+    trace = build_trace(SequenceSpec.hahn(1e-4), 6.1e7)
+    cos_turns = oracle._cos_turns
+    workers = min(oracle._usable_cpus(), 100)
+    for k in (10_000, 16_384):
+        cfg = McConfig(n_realizations=100, seed=4, spectral_components=k)
+        want = mc_coherence(dc_lorentzian, trace, cfg).to_dict()
+        spare = max(1, oracle._COS_CHUNK // k)
+        heights = set()
+
+        def spy(x, scratch):
+            heights.add(len(x))
+            cos_turns(x, scratch)
+
+        monkeypatch.setattr(oracle, "_cos_turns", spy)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_BLOCK_BYTES",
+                                8 * k * workers * (rows + spare))
+            assert mc_coherence(dc_lorentzian, trace, cfg).to_dict() == want
+        monkeypatch.undo()
+        assert {1, 2, 3} <= heights
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
@@ -296,6 +372,23 @@ def test_config_validation():
         McConfig(n_realizations=50)
     with pytest.raises(ValidationError):
         McConfig(spectral_components=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.0), ("seed", True),
+    ("n_realizations", 400.5), ("n_realizations", True),
+    ("spectral_components", 512.0), ("spectral_components", False),
+    ("omega_max", math.nan), ("omega_max", math.inf), ("omega_max", "x"),
+])
+def test_config_rejects_what_the_kernel_cannot_run(field, value):
+    with pytest.raises(ValidationError, match=field):
+        McConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = McConfig(n_realizations=np.int64(400), seed=np.int64(7),
+                   spectral_components=np.int32(512))
+    assert cfg.seed == 7
 
 
 def test_budget_guard(bath):
