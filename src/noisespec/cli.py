@@ -33,6 +33,11 @@ from .study import peak_study, sd_study
 from . import fitting
 
 _TWO_PI = 2.0 * math.pi
+# size caps, so that an oversized request exits 3 instead of exhausting
+# memory: points of a --times / --f-grid grid, and a pulse count, whose
+# default filter grid holds about 100 nodes per pulse
+_MAX_GRID_POINTS = 10_000
+_MAX_PULSES = 1_000
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,8 @@ def _common_parser() -> argparse.ArgumentParser:
 def _add_sequence_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--family", required=required,
                    choices=[f.value for f in Family])
-    p.add_argument("--n", type=int, default=None, help="pulse count")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"pulse count, at most {_MAX_PULSES}")
     p.add_argument("--duration", type=float, default=None,
                    help="total evolution time [s]")
     p.add_argument("--tau", type=float, default=None,
@@ -85,6 +91,7 @@ def _sequence_from_args(args) -> SequenceSpec:
     if family is Family.CPMG:
         if args.n is None:
             raise ValidationError("cpmg needs --n")
+        _check_pulses([args.n])
         return SequenceSpec.cpmg(args.n, tau_free=args.tau,
                                  duration=args.duration)
     if family is Family.HAHN:
@@ -132,6 +139,9 @@ def _parse_grid(token: str, geometric: bool) -> np.ndarray:
         raise ValidationError(usage) from None
     if count < 1 or not 0.0 < lo < hi < math.inf:
         raise ValidationError("grid needs 0 < lo < hi < inf and count >= 1")
+    if count > _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid count {count} exceeds the cap of {_MAX_GRID_POINTS} points")
     return np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
 
 
@@ -141,6 +151,14 @@ def _parse_ints(token: str, flag: str) -> list[int]:
         return [int(tok) for tok in token.split(",")]
     except ValueError:
         raise ValidationError(usage) from None
+
+
+def _check_pulses(n_list: list[int]) -> None:
+    for n in n_list:
+        if n > _MAX_PULSES:
+            raise ValidationError(
+                f"pulse count {n} exceeds the cap of {_MAX_PULSES} (the "
+                "default filter grid holds about 100 nodes per pulse)")
 
 
 def _outdir(args) -> Path:
@@ -214,6 +232,7 @@ def _cmd_synth(args) -> int:
     if family in (Family.CPMG, Family.HAHN):
         n_list = _parse_ints(args.n_list, "--n-list") \
             if args.n_list else [args.n or 1]
+        _check_pulses(n_list)
         if args.revivals:
             orders = _parse_ints(args.orders, "--orders") if args.orders else None
             curves = synth_cpmg_family(spectrum, n_list,
@@ -265,8 +284,8 @@ def _cmd_oracle(args) -> int:
     trace = build_trace(spec, rate)
     cfg = McConfig(n_realizations=args.n_realizations, seed=args.seed,
                    spectral_components=args.modes)
+    ff = filter_for(spec)       # before the run: a spec it rejects fails fast
     result = mc_coherence(spectrum, trace, cfg)
-    ff = filter_for(spec)
     chi_quad, info = chi_detailed(spectrum, ff, rel_tol=args.rel_tol)
     scale = max(abs(chi_quad), 1e-300)
     rel_diff = abs(result.chi_estimate - chi_quad) / scale
@@ -451,11 +470,14 @@ def build_parser(defaults: dict | None = None,
     p_synth.add_argument("--spectrum", default="default",
                          help="default | zero | model JSON path")
     p_synth.add_argument("--n-list", default=None,
-                         help="pulse counts, as comma-separated integers")
+                         help="pulse counts, as comma-separated integers, "
+                              f"each at most {_MAX_PULSES}")
     p_synth.add_argument("--times", default=None,
-                         help="evolution time grid lo:hi:count[:lin|:geom] [s]")
+                         help="evolution time grid lo:hi:count[:lin|:geom] "
+                              f"[s], count at most {_MAX_GRID_POINTS}")
     p_synth.add_argument("--f-grid", default=None,
-                         help="modulation frequency grid lo:hi:count [Hz]")
+                         help="modulation frequency grid lo:hi:count [Hz], "
+                              f"count at most {_MAX_GRID_POINTS}")
     p_synth.add_argument("--revivals", action="store_true",
                          help="sample only at bath-period revivals")
     p_synth.add_argument("--orders", default=None,

@@ -135,6 +135,11 @@ class FilterRows:
     @classmethod
     def of(cls, specs) -> "FilterRows":
         first = specs[0]
+        # the closed forms are those of a smooth carrier; a quantized one is
+        # a step trace, with other lobes, that no row here evaluates yet
+        if any(spec.quant_steps for spec in specs):
+            raise ValidationError(
+                "no filter function for a quantized carrier (quant_steps > 0)")
         t = np.array([spec.duration for spec in specs], dtype=float)
         if first.family.pulsed:
             return cls(first.family, t, n_pulses=first.n_pulses)

@@ -28,6 +28,7 @@ from .errors import CoverageError, NumericError, ValidationError
 from .filters import _EDGE_STRIDE, FilterFunction, FilterRows, _TableRow, \
     cpmg_ff, dysco_ff
 from .noise import ComponentKind, NoiseSpectrum
+from .oracle import _stream_words, _streams
 from .sequences import SequenceSpec
 
 _TWO_PI = 2.0 * math.pi
@@ -458,25 +459,21 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
     )
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-style seeding: one independent stream per (seed, point)
-    return np.random.default_rng([int(seed), int(index)])
-
-
 def add_measurement_noise(curve: CoherenceCurve, epsilon: float,
                           seed: int) -> CoherenceCurve:
     """Add i.i.d. Gaussian readout noise of standard deviation ``epsilon``.
 
-    Deviates are drawn from per-point counters derived from (seed, index), so
-    any partition of the work reproduces the same curve bit for bit.  The
-    noise level is recorded as the per-point uncertainty.
+    Point i's deviate comes from its own stream, seeded by (seed, i) as
+    ``np.random.default_rng([seed, i])`` would seed it, so any partition of
+    the work reproduces the same curve bit for bit.  The noise level is
+    recorded as the per-point uncertainty.
     """
     if epsilon < 0.0:
         raise ValidationError("epsilon must be non-negative")
-    noisy = np.array([
-        c + _point_rng(seed, i).normal(0.0, epsilon) if epsilon > 0.0 else c
-        for i, c in enumerate(curve.coherences)
-    ])
+    words = _stream_words(int(seed), np.arange(curve.coherences.size))
+    noisy = curve.coherences.copy()
+    if epsilon > 0.0:
+        noisy += [gen.normal(0.0, epsilon) for gen in _streams(words)]
     return replace(
         curve,
         coherences=noisy,

@@ -29,10 +29,13 @@ not exceed 2e9 per call.
 
 The realization indices are split into contiguous, nearly equal ranges,
 one per CPU in the process's affinity, and each range is filled by a
-thread; the random draws and the cosines release the GIL.  Realization i
-draws its phases from its own stream, seeded by (seed, i), and its phase
-is summed in the same order whatever range or block it falls in, so every
-result is bitwise the same for any number of CPUs.
+thread.  Realization i draws its phases from its own stream, the PCG64
+stream that ``np.random.default_rng([seed, i])`` would give.  The seeding
+words of all n streams are hashed before the threads start, in one numpy
+pass (``_stream_words``), so a thread's per-row cost under the GIL is one
+state assignment; the random fill and the cosines release it.  A
+realization's phase is summed in the same order whatever range or block
+it falls in, so every result is bitwise the same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ _COS_CHUNK = 16384
 _OVERSAMPLE = 10.0
 # cap on McResult.work, to keep accidental huge runs from stalling the caller
 _WORK_BUDGET = 2_000_000_000
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 seeding
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _usable_cpus() -> int:
@@ -68,6 +78,76 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity query on this platform
         return os.cpu_count() or 1
+
+
+def _stream_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """PCG64 seeding words of the streams (seed, i), one row per index i.
+
+    Row j is ``np.random.SeedSequence([seed, indices[j]]).generate_state(4,
+    np.uint64)``, hashed for all rows at once on uint32 arrays.  The
+    entropy is the little-endian 32-bit words of ``seed`` (at least one),
+    then i, which must fit one word.
+    """
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
+    n = indices.size
+    if n and not 0 <= indices.min() <= indices.max() < 1 << 32:
+        raise ValidationError("stream indices must lie in [0, 2^32)")
+    seed_words = [(seed >> s) & _M32
+                  for s in range(0, max(seed.bit_length(), 1), 32)]
+    # zero words past the entropy hash as the pool's missing words do
+    entropy = np.zeros((max(len(seed_words) + 1, 4), n), np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words)] = indices
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = np.empty((n, 8), np.uint32)
+    for j in range(8):
+        value = pool[j % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _M32
+        value *= np.uint32(const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    # word pairs are little-endian uint64, as generate_state reads them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(words: np.ndarray):
+    """One generator, seeded in turn by each row of ``_stream_words``.
+
+    Each yielded state is the one ``np.random.PCG64`` seeds from that row:
+    initstate = w0 w1 and increment 2 (w2 w3) + 1, as 128-bit numbers, then
+    two LCG steps.  The generator is valid until the next one is yielded.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row in words:
+        w0, w1, w2, w3 = row.tolist()
+        inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 @dataclass(frozen=True)
@@ -228,15 +308,17 @@ def mc_coherence(spectrum: NoiseSpectrum, trace: SensitivityTrace,
     height = min(rows, -(-n // workers))
     shares = np.empty((workers, height + min(spare, height), k))
     blocks, scratches = shares[:, :height], shares[:, height:]
+    words = _stream_words(int(cfg.seed), np.arange(n))
 
     def fill(block: np.ndarray, scratch: np.ndarray, lo: int, hi: int) -> None:
         # realizations lo..hi-1 into phis[lo:hi], a block of rows at a time;
         # a row of random() in [0, 1) is theta / 2 pi, the phases in turns
+        streams = _streams(words[lo:hi])
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             x = block[:stop - start]
-            for i, row in enumerate(x, start):
-                np.random.default_rng([int(cfg.seed), i]).random(out=row)
+            for row, gen in zip(x, streams):
+                gen.random(out=row)
             x += psi_turns
             _cos_turns(x, scratch)
             # einsum keeps the product on this thread: a threaded BLAS call

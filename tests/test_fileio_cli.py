@@ -406,6 +406,49 @@ def test_cli_negative_seed_prints_no_traceback(tmp_path):
     assert "--seed" in run.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["ff", "--family", "dysco", "--duration", "2e-4", "--f0", "8e4"],
+    ["synth", "--family", "dysco", "--duration", "2e-4",
+     "--f-grid", "3e4:1.2e5:4"],
+    ["oracle", "--family", "dysco", "--duration", "2e-4", "--f0", "8e4",
+     "--n-realizations", "100", "--modes", "8"],
+], ids=["ff", "synth", "oracle"])
+def test_cli_quantized_carrier_exits_3(tmp_path, capsys, argv):
+    # no filter evaluates a quantized carrier's step trace yet, and the
+    # smooth carrier's filter is not its filter
+    rc = cli_main([*argv, "--quant-steps", "8", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "quant_steps" in _one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, cap", [
+    (["--n-list", "1", "--times", "1e-5:1e-3:99999999999"], "10000 points"),
+    (["--n-list", "100000000", "--times", "1e-5:1e-3:3"], "cap of 1000"),
+], ids=["grid-count", "pulse-count"])
+def test_cli_oversized_request_exits_3_without_a_traceback(tmp_path, args,
+                                                           cap):
+    src = str(Path(noisespec.fitting.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "noisespec", "synth", "--family", "cpmg",
+         *args, "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3
+    assert "Traceback" not in run.stderr
+    assert cap in run.stderr
+
+
+def test_cli_help_states_the_size_caps(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["synth", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "each at most 1000" in text
+    assert text.count("count at most 10000") == 2
+
+
 def test_cli_numeric_failure_exits_4(tmp_path, monkeypatch, small_curve):
     path = write_curve(small_curve, tmp_path / "c.csv")
 

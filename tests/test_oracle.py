@@ -10,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import j0
 
 from noisespec import (
+    AbscissaKind,
+    CoherenceCurve,
     McConfig,
+    Provenance,
     SensitivityTrace,
     SequenceSpec,
     ValidationError,
+    add_measurement_noise,
     build_trace,
     chi,
     cpmg_ff,
@@ -23,7 +27,8 @@ from noisespec import (
     tabulated,
 )
 from noisespec import oracle
-from noisespec.oracle import _constant_runs, _cos_turns, _mode_integrals
+from noisespec.oracle import _constant_runs, _cos_turns, _mode_integrals, \
+    _stream_words, _streams
 
 # Frozen reference run: composite bath, CPMG-4 over 20 us, 512 modes over
 # the band the trace resolves, 400 realizations, seed 1.  Guards the
@@ -239,6 +244,65 @@ def test_in_place_fill_is_bitwise_uniform(seed, i):
     np.random.default_rng([seed, i]).random(out=row)
     want = np.random.default_rng([seed, i]).uniform(0.0, 2.0 * math.pi, 4096)
     assert np.array_equal(row * (2.0 * math.pi), want)
+
+
+# seeds of 1 to 6 uint32 words, and the edges of the one-word stream index
+_SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 1, 2**160 + 7]
+_INDEX_EDGES = [0, 1, 2**32 - 1]
+
+
+def _check_streams(seed, indices):
+    indices = np.asarray(indices, dtype=np.int64)
+    words = _stream_words(seed, indices)
+    for i, w, gen in zip(indices.tolist(), words, _streams(words)):
+        ss = np.random.SeedSequence([seed, i])
+        assert np.array_equal(w, ss.generate_state(4, np.uint64))
+        assert gen.bit_generator.state == np.random.PCG64(ss).state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**192)),
+       indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+def test_stream_words_match_seed_sequence(seed, indices):
+    _check_streams(seed, indices)
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+def test_stream_words_match_seed_sequence_at_the_edges(seed):
+    more = np.random.default_rng(seed % 997).integers(0, 2**32, 5)
+    _check_streams(seed, _INDEX_EDGES + more.tolist())
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+def test_streams_draw_what_default_rng_draws(seed):
+    indices = _INDEX_EDGES + [12345]
+    row = np.empty(4096)
+    gens = _streams(_stream_words(seed, np.array(indices)))
+    for i, gen in zip(indices, gens):
+        gen.random(out=row)
+        assert np.array_equal(row, np.random.default_rng([seed, i]).random(4096))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+def test_measurement_noise_draws_what_default_rng_draws(seed):
+    xs = np.linspace(1e-5, 1e-3, 37)
+    curve = CoherenceCurve(
+        abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=np.exp(-1e3 * xs),
+        uncertainties=np.zeros_like(xs),
+        sequence=SequenceSpec.cpmg(2, duration=1e-3), swept="duration",
+        provenance=Provenance("synthetic"))
+    noisy = add_measurement_noise(curve, 0.03, seed)
+    want = [c + np.random.default_rng([seed, i]).normal(0.0, 0.03)
+            for i, c in enumerate(curve.coherences)]
+    assert np.array_equal(noisy.coherences, want)
+    with pytest.raises(ValidationError, match="seed"):
+        add_measurement_noise(curve, 0.03, -1)
+
+
+def test_stream_indices_must_fit_one_word():
+    for indices in ([2**32], [-1]):
+        with pytest.raises(ValidationError, match="indices"):
+            _stream_words(0, np.array(indices))
 
 
 def test_cos_turns_matches_a_long_double_cosine():
