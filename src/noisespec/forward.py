@@ -204,8 +204,10 @@ def _gk_rows(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
 
 def _tail_estimate(spectrum: NoiseSpectrum, envelope, hi: np.ndarray,
                    rows: np.ndarray) -> np.ndarray:
-    """Envelope weight integral S * envelope over [hi, 50 hi] per row."""
-    w = np.geomspace(hi, 50.0 * hi, 96, axis=-1)
+    """Envelope weight integral S * envelope over [hi, 50 hi] per row.
+    The nodes are laid out row by row (C order), so each row's trapezoid
+    is summed alone, in one order in any batch."""
+    w = np.ascontiguousarray(np.geomspace(hi, 50.0 * hi, 96, axis=-1))
     g = spectrum.eval(w) * envelope(w.T, rows).T
     return np.trapezoid(g, w, axis=-1)
 
@@ -221,6 +223,67 @@ def _comb_error(spectrum: NoiseSpectrum, filters, start: np.ndarray,
 
     slope = (g(start + h) - g(start - h)) / (2.0 * h)
     return np.abs(slope * filters.comb_remainder(start, rows))
+
+
+def _linspaces(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``np.linspace(a[i], b[i], k[i] + 1)`` for every i, concatenated, in
+    numpy's own arithmetic: node j is j ((b - a) / k) + a, the last is b."""
+    counts = k + 1
+    ends = np.cumsum(counts)
+    j = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    nodes = j * np.repeat((b - a) / k, counts) + np.repeat(a, counts)
+    nodes[ends - 1] = b
+    return nodes
+
+
+def _first_edges(spectrum: NoiseSpectrum, filters):
+    """Each row's first panel edges (a list of ascending arrays), its comb
+    start and its first cutoff, as ``_chi_rows`` describes them.
+
+    A row's edges are the union of its filter's ``edges``, the spectrum's
+    refinement points between 0.999 of its first edge and its cutoff, a
+    linear run of panels at most 4 pi / t wide from its last edge to its
+    comb start, and 33 geometric edges from there to the cutoff.  All rows
+    are built in one pass: the runs in numpy's linspace and geomspace
+    arithmetic, the union by one sort on (row, value) with duplicates
+    dropped, so every row's edges are those of ``np.unique`` over its own
+    parts, bit for bit.
+    """
+    duration, table = filters.durations, isinstance(filters, _TableRow)
+    ids = np.arange(duration.size)
+    grid = filters.edges(ids)
+    lo, hi = grid[:, 0], grid[:, -1]
+    target = hi if table else np.maximum(hi, spectrum.extent())
+    comb = filters.comb_start(np.maximum(hi, spectrum.features_end()), ids)
+    top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
+    refine = spectrum.refinement_points()
+    if spectrum.table is None:
+        refine = refine[::_EDGE_STRIDE]
+    refine = refine[refine > 0.0]
+    near_row, near = np.nonzero((refine >= 0.999 * lo[:, None])
+                                & (refine <= top[:, None]))
+    values = [grid.ravel(), refine[near]]
+    owner = [np.repeat(ids, grid.shape[1]), near_row]
+    lobes = (hi < comb) & (comb < np.inf)
+    if np.any(lobes):
+        r = ids[lobes]
+        k = np.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
+        k = k.astype(np.int64)
+        values.append(_linspaces(hi[r], comb[r], k))
+        owner.append(np.repeat(r, k + 1))
+    start = np.where(lobes, comb, hi)
+    geometric = top > start
+    if np.any(geometric):
+        r = ids[geometric]
+        values.append(np.geomspace(start[r], top[r], 33, axis=-1).ravel())
+        owner.append(np.repeat(r, 33))
+    values, owner = np.concatenate(values), np.concatenate(owner)
+    order = np.argsort(values)      # by value, then stably by row
+    order = order[np.argsort(owner[order], kind="stable")]
+    values, owner = values[order], owner[order]
+    new = np.r_[True, (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])]
+    values, owner = values[new], owner[new]
+    return np.split(values, np.searchsorted(owner, ids[1:])), comb, top
 
 
 def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
@@ -244,34 +307,11 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
     ``rel_err`` adds the comb remainder to the Kronrod-Gauss estimate.
     """
     duration, table = filters.durations, isinstance(filters, _TableRow)
-    ids = np.arange(duration.size)
-    edges = filters.edges(ids)
-    lo, hi = edges[:, 0], edges[:, -1]
-    target = hi if table else np.maximum(hi, spectrum.extent())
-    comb = filters.comb_start(np.maximum(hi, spectrum.features_end()), ids)
-    top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
-    refine = spectrum.refinement_points()
-    if spectrum.table is None:
-        refine = refine[::_EDGE_STRIDE]
-    refine = refine[refine > 0.0]
-
-    def first_edges(r):
-        near = (refine >= 0.999 * lo[r]) & (refine <= top[r])
-        parts = [edges[r], refine[near]]
-        start = hi[r]
-        if hi[r] < comb[r] < np.inf:
-            k = math.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
-            parts.append(np.linspace(hi[r], comb[r], k + 1))
-            start = comb[r]
-        if top[r] > start:
-            parts.append(np.geomspace(start, top[r], 33))
-        return np.unique(np.concatenate(parts))
-
-    edges = [first_edges(r) for r in ids]
+    edges, comb, top = _first_edges(spectrum, filters)
     hi_used = top.copy()
-    value, rel_err, tail = (np.empty(hi.size) for _ in range(3))
-    nodes = np.zeros(hi.size, dtype=np.int64)
-    todo = np.arange(hi.size)
+    value, rel_err, tail = (np.empty(duration.size) for _ in range(3))
+    nodes = np.zeros(duration.size, dtype=np.int64)
+    todo = np.arange(duration.size)
     for _ in range(5):
         v, e, n = _gk_rows(spectrum, filters, comb, todo,
                            [edges[r] for r in todo], rel_tol)

@@ -15,7 +15,9 @@ downstream.
   onto already-reconstructed higher frequencies,
   S = S0 - (1/A) * integral_{lobe top}^{top} S_hat(w) FF(w) dw,
   interpolating S_hat linearly and taking it as zero above the highest probe.
-  Results are binned into log-spaced bins whose spread gives the uncertainty.
+  Probes at one frequency up to an ulp are one frequency, with one S_hat
+  node.  Results are binned into log-spaced bins whose spread gives the
+  uncertainty.
 
 * :func:`direct_extract` inverts a continuous-carrier sweep point by point
   (g = the filter's gain), with the maximum contrast ``a`` estimated
@@ -127,6 +129,8 @@ class CpmgFilterProvider:
 
 # points averaged at each curve's shortest times for the unit-coherence reference
 _RESCALE_POINTS = 3
+# probe frequencies closer than this (relative) are one frequency
+_COINCIDENT = 1e-9
 
 
 def _invert(c_res: np.ndarray, u_res: np.ndarray, scale):
@@ -147,6 +151,14 @@ def _invert(c_res: np.ndarray, u_res: np.ndarray, scale):
 def cpmg_sd(curves: list[CoherenceCurve],
             bin_count: int | None = 40) -> ReconstructedSpectrum:
     """Two-step spectral decomposition of a pulsed-train curve family.
+
+    Probe frequencies within a relative 1e-9 of each other are one
+    frequency (a family built to probe common frequencies meets them only
+    up to an ulp, as z0 / (z0 / g) is g): each such group reports its
+    lowest frequency, is ordered by pulse count, duration and estimate,
+    and enters the correction of lower frequencies as one node, the mean
+    of its members' estimates clipped at 0.  So neither ulp noise nor the
+    order of ``curves`` moves the result.
 
     Parameters
     ----------
@@ -175,47 +187,63 @@ def cpmg_sd(curves: list[CoherenceCurve],
                         *_invert(curve.coherences / ref,
                                  curve.uncertainties / ref, t * area),
                         np.full(t.size, n), t))
-    order = np.argsort(np.concatenate([c[0] for c in columns]), kind="stable")
-    omegas, s0, sigmas, flags, ns, ts = (
-        np.concatenate(col)[order] for col in zip(*columns))
+    omegas, s0, sigmas, flags, ns, ts = (np.concatenate(col)
+                                         for col in zip(*columns))
+    by_omega = np.argsort(omegas, kind="stable")
+    w = omegas[by_omega]
+    first = np.r_[True, np.diff(w) >= _COINCIDENT * w[1:]]
+    group = np.empty(w.size, dtype=np.int64)
+    group[by_omega] = np.cumsum(first) - 1
+    omegas = w[first][group]
+    order = np.lexsort((sigmas, s0, ts, ns, group))
+    omegas, s0, sigmas, flags, ns, ts, group = (
+        x[order] for x in (omegas, s0, sigmas, flags, ns, ts, group))
     ok = flags == FLAG_OK
     values = np.full(omegas.size, math.nan)
-    values[ok] = _harmonic_correction(omegas[ok], s0[ok], ns[ok], ts[ok])
+    values[ok] = _harmonic_correction(omegas[ok], s0[ok], ns[ok], ts[ok],
+                                      group[ok])
     return _assemble(omegas, values, sigmas, flags, bin_count)
 
 
 def _harmonic_correction(omegas: np.ndarray, s0: np.ndarray, ns: np.ndarray,
-                         ts: np.ndarray) -> np.ndarray:
+                         ts: np.ndarray, group: np.ndarray) -> np.ndarray:
     """Subtract each filter's harmonic pickup of the estimated spectrum.
 
-    Takes the unclipped points sorted by probe frequency and returns their
-    corrected values.  Sweeps once from the highest probe frequency downward
-    so that every correction integral only needs already-corrected
-    estimates, the slice above the current point; the spectrum is taken as
-    zero beyond the highest measured frequency.  The pedestal below the main
+    Takes the unclipped points sorted by probe frequency, with the ids of
+    their coincident-frequency groups, and returns their corrected values.
+    Sweeps once from the highest probe frequency downward so that every
+    correction integral only needs already-corrected estimates: those of
+    the frequencies strictly above the current one, one node each (the
+    mean of a group's clipped estimates).  The spectrum is taken as zero
+    beyond the highest measured frequency.  The pedestal below the main
     lobe is left in by construction, which is what biases pulsed-train
     estimates of a narrow line toward higher frequencies.
     """
     if omegas.size == 0:
         raise ValidationError("every point is clipped; nothing to reconstruct")
     values = np.empty(omegas.size)      # filled from the top down
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    stops = np.r_[starts[1:], omegas.size]
+    node_w, node_s = omegas[starts], np.empty(starts.size)
     omega_top = omegas[-1]
-    for k in range(omegas.size - 1, -1, -1):
-        n, t = int(ns[k]), float(ts[k])
-        _, _, area, z_top = _main_lobe(n)
-        lo = z_top / t
-        corr = 0.0
-        if k + 1 < omegas.size and lo < omega_top:
-            kw, ks = omegas[k + 1:], values[k + 1:]
-            step = math.pi / (6.0 * t)          # resolves the filter comb
-            count = int((omega_top - lo) / step) + 2
-            grid = np.linspace(lo, omega_top, min(max(count, 64), 120_000))
-            grid = np.unique(np.concatenate([grid, kw[(kw > lo) & (kw < omega_top)]]))
-            s_hat = np.interp(grid, kw, np.maximum(ks, 0.0),
-                              left=max(ks[0], 0.0), right=0.0)
-            corr = float(np.trapezoid(s_hat * _cpmg_values(grid, n, t),
-                                      grid)) / area
-        values[k] = s0[k] - corr
+    for g in range(starts.size - 1, -1, -1):
+        kw, ks = node_w[g + 1:], node_s[g + 1:]
+        for k in range(starts[g], stops[g]):
+            n, t = int(ns[k]), float(ts[k])
+            _, _, area, z_top = _main_lobe(n)
+            lo = z_top / t
+            corr = 0.0
+            if kw.size and lo < omega_top:
+                step = math.pi / (6.0 * t)          # resolves the filter comb
+                count = int((omega_top - lo) / step) + 2
+                grid = np.linspace(lo, omega_top, min(max(count, 64), 120_000))
+                grid = np.unique(np.concatenate(
+                    [grid, kw[(kw > lo) & (kw < omega_top)]]))
+                s_hat = np.interp(grid, kw, ks, left=ks[0], right=0.0)
+                corr = float(np.trapezoid(s_hat * _cpmg_values(grid, n, t),
+                                          grid)) / area
+            values[k] = s0[k] - corr
+        node_s[g] = np.mean(np.maximum(values[starts[g]:stops[g]], 0.0))
     return values
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from noisespec import (
+    Family,
     SensitivityTrace,
     SequenceSpec,
     ValidationError,
@@ -17,6 +18,7 @@ from noisespec import (
     numeric_ff,
     peak_stats,
 )
+from noisespec.filters import FilterRows, _cpmg_values
 
 # Frozen from an independent dense-grid scan of the closed forms; peak
 # positions quoted as z0/pi with z = omega * duration.
@@ -95,6 +97,80 @@ def test_cpmg_pole_frequencies_are_finite():
     ff = cpmg_ff(n, t, omegas=z)
     assert np.all(np.isfinite(ff.values))
     assert np.all(ff.values >= 0.0)
+
+
+_LONG_DOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+@pytest.mark.skipif(not _LONG_DOUBLE, reason="long double is double here")
+def test_cpmg_values_match_a_long_double_evaluation():
+    # the same closed form at the same double arguments (z = omega t, the
+    # quarter angle z / 4n and z / 2), evaluated in long double: squaring
+    # sin^4 instead of calling pow keeps the kernel within a few roundings
+    ld = np.longdouble
+    pi = 4.0 * np.arctan(ld(1.0))
+    rng = np.random.default_rng(7)
+    errors = []
+    for n in range(1, 65):
+        t = 10.0 ** rng.uniform(-5.0, -3.0)
+        w = 10.0 ** rng.uniform(-2.0, 4.0, 4000) / t
+        z = w * t
+        quarter = (z / (4.0 * n)).astype(ld)
+        half = (0.5 * z).astype(ld)
+        den = np.cos(2.0 * quarter)
+        num = np.sin(half) if n % 2 == 0 else np.cos(half)
+        ref = 16.0 * np.sin(quarter) ** 4 * (num / den) ** 2 \
+            / (pi * ld(t) * w.astype(ld) ** 2)
+        keep = (np.abs(den) >= 1e-7) & (ref > 0.0)   # poles are nudged
+        got = _cpmg_values(w, n, t)[keep].astype(ld)
+        errors.append((np.abs(got - ref[keep]) / ref[keep]).astype(float))
+    errors = np.concatenate(errors)
+    assert errors.size > 250_000
+    assert np.max(errors) <= 2e-15
+    assert np.median(errors) <= 4e-16
+
+
+def _pair_sum_remainder(n, start, t):
+    # the O(n^2) sum over the jump pairs that comb_remainder groups by lag
+    times = np.concatenate([[0.0], (np.arange(1, n + 1) - 0.5) / n, [1.0]])
+    jumps = np.concatenate([[-1.0], 2.0 * (-1.0) ** np.arange(n),
+                            [(-1.0) ** n]])
+    i, j = np.triu_indices(n + 2, 1)
+    lag, pair = times[j] - times[i], jumps[i] * jumps[j]
+    q = np.array([np.sum(pair * np.cos(z * lag) / lag ** 2) for z in start * t])
+    return 2.0 * q / (math.pi * t ** 3)
+
+
+def test_comb_remainder_matches_the_pair_sum():
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        t = 10.0 ** rng.uniform(-5.0, -2.0, 6)
+        ids = np.arange(t.size)
+        rows = FilterRows(Family.CPMG, t, n_pulses=n)
+        start = rows.comb_start(10.0 ** rng.uniform(3.0, 8.0, t.size), ids)
+        q = rows.comb_remainder(start, ids)
+        ref = _pair_sum_remainder(n, start, t)
+        assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+        # each row alone gives the same bits as in the batch
+        assert [rows.comb_remainder(start[[r]], [r])[0] for r in ids] == list(q)
+
+
+def test_comb_remainder_memory_is_linear_in_the_pulse_count():
+    # grouping the n^2 jump pairs by lag: 206 MB traced at n = 3000 before
+    import tracemalloc
+
+    t = np.array([1e-4, 3e-4, 1e-3, 3e-3])
+    ids = np.arange(t.size)
+    rows = FilterRows(Family.CPMG, t, n_pulses=3000)
+    start = rows.comb_start(np.full(t.size, 1e9), ids)
+    tracemalloc.start()
+    try:
+        q = rows.comb_remainder(start, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(q))
+    assert peak < 5e6
 
 
 # --------------------------------------------------------------------------

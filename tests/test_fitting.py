@@ -28,6 +28,8 @@ from noisespec.fitting import (
     _NOISE_PARAM_ORDER,
     _chi_operator,
     _noise_window,
+    _peak_jacobian,
+    _peak_model,
     _spectrum_from,
 )
 
@@ -162,6 +164,24 @@ def test_peak_fit_is_translation_equivariant():
     expected = base["center_hz"] + shift / (2 * math.pi)
     assert moved["center_hz"] == pytest.approx(expected, abs=1e-6)
     assert moved["width_hz"] == pytest.approx(base["width_hz"], rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [(4e6, 1.3e3, 2.6e4, 1e3),
+                               (2.5, -4e4, 9e3, -0.3),
+                               (1e-3, 7e4, 1.5e5, 0.0)])
+def test_peak_jacobian_matches_a_central_difference(p):
+    x = np.linspace(-1e5, 1e5, 81)
+    jac = _peak_jacobian(p, x)
+    assert jac.shape == (x.size, 4)
+    amp, _, width, _ = p
+    for k, scale in enumerate((amp, width, width, amp)):
+        h = 1e-5 * scale
+        up, down = list(p), list(p)
+        up[k] += h
+        down[k] -= h
+        diff = (_peak_model(up, x) - _peak_model(down, x)) / (2.0 * h)
+        assert np.max(np.abs(jac[:, k] - diff)) \
+            <= 1e-8 * np.max(np.abs(diff)), k
 
 
 def test_peak_fit_window_selects_points():

@@ -39,8 +39,8 @@ from noisespec import (
     tabulated,
     write_curve,
 )
-from noisespec.filters import FilterRows
-from noisespec.forward import _GK_X, _chi_rows
+from noisespec.filters import _EDGE_STRIDE, FilterRows, _TableRow
+from noisespec.forward import _GK_X, _LOBE_PANEL_Z, _chi_rows, _first_edges
 
 
 def _flat_spectrum(level: float, top: float = 1e9):
@@ -126,9 +126,76 @@ def test_rows_that_extend_keep_their_bits_in_a_batch():
     assert np.allclose(info["omega_max"] / cutoffs, [1.0, 6.0, 36.0],
                        rtol=1e-15, atol=0.0)
     assert np.array_equal(chis, [value for value, _ in alone])
-    for key in ("omega_max", "rel_err", "nodes"):
+    for key in ("omega_max", "rel_err", "nodes", "tail_estimate"):
         assert list(info[key]) == [i[key] for _, i in alone], key
     assert np.all(info["tail_estimate"] <= 1e-8 * 2.0 * chis / rows.durations)
+
+
+def _per_row_edges(spectrum, filters):
+    # each row's first edges as np.unique over its own parts, one call per
+    # row, against which the one-pass _first_edges is checked bit for bit
+    duration, table = filters.durations, isinstance(filters, _TableRow)
+    ids = np.arange(duration.size)
+    grid = filters.edges(ids)
+    lo, hi = grid[:, 0], grid[:, -1]
+    target = hi if table else np.maximum(hi, spectrum.extent())
+    comb = filters.comb_start(np.maximum(hi, spectrum.features_end()), ids)
+    top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
+    refine = spectrum.refinement_points()
+    if spectrum.table is None:
+        refine = refine[::_EDGE_STRIDE]
+    refine = refine[refine > 0.0]
+    edges = []
+    for r in ids:
+        near = (refine >= 0.999 * lo[r]) & (refine <= top[r])
+        parts = [grid[r], refine[near]]
+        start = hi[r]
+        if hi[r] < comb[r] < np.inf:
+            k = math.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
+            parts.append(np.linspace(hi[r], comb[r], k + 1))
+            start = comb[r]
+        if top[r] > start:
+            parts.append(np.geomspace(start, top[r], 33))
+        edges.append(np.unique(np.concatenate(parts)))
+    return edges, comb, top
+
+
+_EDGE_BATHS = st.one_of(
+    st.builds(lorentzian_dc, st.floats(1e2, 1e7), st.floats(1e2, 1e7)),
+    st.builds(composite, st.floats(1e3, 1e6), st.floats(1e3, 1e5),
+              st.floats(1e4, 1e7), st.floats(1e3, 1e6), st.floats(1e3, 1e6)),
+    st.builds(lambda top, k, level: tabulated(
+        np.r_[0.0, np.geomspace(10.0 ** (top - 4.0), 10.0 ** top, k)],
+        np.full(k + 1, level)),
+        st.floats(4.0, 9.0), st.integers(2, 300), st.floats(1e-3, 1e6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bath=_EDGE_BATHS,
+       kind=st.sampled_from(["cpmg", "dysco", "gdysco", "table"]),
+       n=st.integers(min_value=1, max_value=64),
+       log_t=st.lists(st.floats(math.log10(3e-6), math.log10(3e-3)),
+                      min_size=1, max_size=12, unique=True),
+       log_f=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=12,
+                      unique=True))
+def test_first_edges_are_each_rows_own_union(bath, kind, n, log_t, log_f):
+    t = np.sort(10.0 ** np.array(log_t))
+    if kind == "cpmg":
+        filters = FilterRows.of([SequenceSpec.cpmg(n, duration=tk) for tk in t])
+    elif kind == "table":
+        ff = cpmg_ff(n, float(t[0]))
+        filters = FilterFunction(ff.omegas, ff.values, ff.duration,
+                                 FFSource.NUMERIC).rows
+    else:
+        make = SequenceSpec.dysco if kind == "dysco" else SequenceSpec.gdysco
+        f = np.sort(10.0 ** np.array(log_f)) / t[0]   # >= one period each
+        filters = FilterRows.of([make(float(t[0]), fk) for fk in f])
+    edges, comb, top = _first_edges(bath, filters)
+    ref_edges, ref_comb, ref_top = _per_row_edges(bath, filters)
+    assert np.array_equal(comb, ref_comb) and np.array_equal(top, ref_top)
+    assert len(edges) == len(ref_edges)
+    for a, b in zip(edges, ref_edges):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("f0", [3e4, 1.2e5])

@@ -1,6 +1,7 @@
 """Spectral reconstruction: decomposition sweep, direct extraction, ranges."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from noisespec import (
     ReconstructedSpectrum,
     SequenceSpec,
     ValidationError,
+    add_measurement_noise,
     cpmg_sd,
+    default_experiment_spectrum,
     direct_extract,
     dynamic_range,
     dysco_ff,
     peak_stats,
+    peak_study_curves,
     plateau_contrast,
     synth_cpmg_family,
     synth_dysco_sweep,
@@ -124,6 +128,42 @@ def test_binned_uncertainty_is_the_spread_of_its_bin(dc_lorentzian):
     # the per-bin mask loop is the reference for the binned means, bit for bit
     assert binned.omegas.tolist() == [float(np.mean(w[m])) for m in masks]
     assert binned.values.tolist() == [float(np.mean(v[m])) for m in masks]
+
+
+@pytest.fixture(scope="module")
+def coincident_probes():
+    # the peak study's pulse trains probe 112 points at 28 frequencies,
+    # each n meeting them as z0 / (z0 / g), i.e. g up to an ulp
+    curves, _, _ = peak_study_curves(default_experiment_spectrum())
+    return [add_measurement_noise(c, 0.03, seed=i)
+            for i, c in enumerate(curves)]
+
+
+def test_sd_ignores_a_one_ulp_move_of_coincident_probes(coincident_probes):
+    # the stable sort's order of near-ties and np.interp over duplicate
+    # nodes moved the binned values by 1e-2 of their maximum
+    nudged = [replace(c, xs=np.nextafter(c.xs, np.inf))
+              for c in coincident_probes]
+    base, moved = cpmg_sd(coincident_probes), cpmg_sd(nudged)
+    assert base.omegas.size == moved.omegas.size
+    assert np.max(np.abs(moved.values - base.values)) \
+        <= 1e-9 * np.max(np.abs(base.values))
+
+
+@pytest.mark.parametrize("bin_count", [40, None])
+def test_sd_does_not_depend_on_the_order_of_its_curves(coincident_probes,
+                                                       bin_count):
+    a = cpmg_sd(coincident_probes, bin_count)
+    b = cpmg_sd(coincident_probes[::-1], bin_count)
+    for key in ("omegas", "values", "uncertainties", "flags"):
+        assert np.array_equal(getattr(a, key), getattr(b, key),
+                              equal_nan=key != "flags"), key
+
+
+def test_coincident_probes_share_one_frequency(coincident_probes):
+    raw = cpmg_sd(coincident_probes, bin_count=None)
+    assert raw.omegas.size == 112
+    assert np.unique(raw.omegas).size == 28
 
 
 def test_sd_requires_pulsed_time_curves(bath):
