@@ -59,12 +59,9 @@ def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help="output directory (default: $NOISESPEC_OUTDIR or .)")
-    common.add_argument("--seed", type=_seed, default=0,
-                        help="non-negative integer")
-    common.add_argument("--rel-tol", type=float, default=1e-4,
-                        help="quadrature relative tolerance")
     common.add_argument("--config", default=None,
-                        help="JSON file with default values for any option")
+                        help="JSON file with defaults for this command's "
+                             "options")
     common.add_argument("--out", default=None)
     return common
 
@@ -231,8 +228,10 @@ def _cmd_synth(args) -> int:
     outputs: list[Path] = []
     if family in (Family.CPMG, Family.HAHN):
         n_list = _parse_ints(args.n_list, "--n-list") \
-            if args.n_list else [args.n or 1]
+            if args.n_list else [1 if args.n is None else args.n]
         _check_pulses(n_list)
+        if family is Family.HAHN and any(n != 1 for n in n_list):
+            raise ValidationError("HAHN means exactly one pulse")
         if args.revivals:
             orders = _parse_ints(args.orders, "--orders") if args.orders else None
             curves = synth_cpmg_family(spectrum, n_list,
@@ -258,7 +257,7 @@ def _cmd_synth(args) -> int:
                                     rel_tol=args.rel_tol)]
         names = [f"{prefix}_{family.value}.csv"]
     for i, (curve, name) in enumerate(zip(curves, names)):
-        if args.epsilon > 0.0:
+        if args.epsilon != 0.0:
             curve = add_measurement_noise(curve, args.epsilon,
                                           args.seed + i)
         outputs.append(_emit(fileio.write_curve(curve, out / name)))
@@ -284,9 +283,10 @@ def _cmd_oracle(args) -> int:
     trace = build_trace(spec, rate)
     cfg = McConfig(n_realizations=args.n_realizations, seed=args.seed,
                    spectral_components=args.modes)
-    ff = filter_for(spec)       # before the run: a spec it rejects fails fast
+    # before the run, so that a spec or tolerance it rejects fails fast
+    chi_quad, info = chi_detailed(spectrum, filter_for(spec),
+                                  rel_tol=args.rel_tol)
     result = mc_coherence(spectrum, trace, cfg)
-    chi_quad, info = chi_detailed(spectrum, ff, rel_tol=args.rel_tol)
     scale = max(abs(chi_quad), 1e-300)
     rel_diff = abs(result.chi_estimate - chi_quad) / scale
     agrees = abs(result.chi_estimate - chi_quad) <= \
@@ -312,9 +312,14 @@ def _read_cli_curves(args, paths: list[str]):
             raise ValidationError(f"curve file does not exist: {p}")
     if args.schema:
         seq = _sequence_from_args(args) if args.family else None
-        return [fileio.ingest_curve(p, args.schema, sequence=seq)
-                for p in paths]
-    return [fileio.read_curve(p) for p in paths]
+        curves = [fileio.ingest_curve(p, args.schema, sequence=seq)
+                  for p in paths]
+    else:
+        curves = [fileio.read_curve(p) for p in paths]
+    # a sidecar's pulse count meets the same cap as --n
+    _check_pulses([c.sequence.n_pulses for c in curves
+                   if c.sequence.family.pulsed])
+    return curves
 
 
 def _cmd_reconstruct(args) -> int:
@@ -445,6 +450,12 @@ def build_parser(defaults: dict | None = None,
     different choices in different commands, so a config value that is
     valid for one can be invalid for another."""
     common = _common_parser()
+    # only the commands that draw noise or integrate chi read these
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=_seed, default=0,
+                        help="non-negative integer")
+    seeded.add_argument("--rel-tol", type=float, default=1e-4,
+                        help="quadrature relative tolerance, in (0, 1)")
     parser = argparse.ArgumentParser(
         prog="noisespec",
         description="Filter-function noise spectroscopy workbench")
@@ -464,7 +475,7 @@ def build_parser(defaults: dict | None = None,
     p_bw.add_argument("--margin", type=float, default=10.0)
     p_bw.set_defaults(func=_cmd_bandwidth)
 
-    p_synth = sub.add_parser("synth", parents=[common],
+    p_synth = sub.add_parser("synth", parents=[seeded],
                              help="synthesize coherence curves")
     _add_sequence_args(p_synth)
     p_synth.add_argument("--spectrum", default="default",
@@ -486,7 +497,7 @@ def build_parser(defaults: dict | None = None,
                          help="readout noise level")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_or = sub.add_parser("oracle", parents=[common],
+    p_or = sub.add_parser("oracle", parents=[seeded],
                           help="Monte Carlo coherence vs quadrature")
     _add_sequence_args(p_or)
     p_or.add_argument("--spectrum", default="default")
@@ -519,7 +530,7 @@ def build_parser(defaults: dict | None = None,
     _add_sequence_args(p_fit, required=False)
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_rt = sub.add_parser("roundtrip", parents=[common],
+    p_rt = sub.add_parser("roundtrip", parents=[seeded],
                           help="synthesize, reconstruct, and score")
     p_rt.add_argument("--mode", choices=["peak", "sd"], default="peak")
     p_rt.add_argument("--spectrum", default="default")
@@ -539,14 +550,18 @@ def _typed_defaults(parser: argparse.ArgumentParser, defaults: dict) -> dict:
     its choices, as a value given on the command line would be (argparse
     converts only string defaults, and checks none).  A single-value option
     without a type (a path, a grid, a list of integers) takes only a
-    string."""
-    typed = dict(defaults)
+    string.  A key that names no option of ``parser`` is left out."""
+    typed = {}
     for action in parser._actions:
         key = action.dest
-        value = defaults.get(key)
-        if value is None:
+        if key not in defaults or action.default is argparse.SUPPRESS:
             continue
+        typed[key] = value = defaults[key]
         bad = f"config key {key!r}: invalid value {value!r}"
+        if value is None:               # null only where unset means None
+            if action.default is not None:
+                raise ValidationError(bad)
+            continue
         if action.nargs == 0:           # a flag: only true or false
             if not isinstance(value, bool):
                 raise ValidationError(bad)

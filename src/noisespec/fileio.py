@@ -138,40 +138,49 @@ def read_curve(path: str | Path) -> CoherenceCurve:
     )
 
 
+def _csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """(lower-cased header cells, data rows) of a CSV file; an unreadable,
+    undecodable or empty file is a ValidationError."""
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: malformed CSV ({exc})") from None
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    return [c.strip().lower() for c in rows[0]], rows[1:]
+
+
 def _read_rows(path: Path, kind: AbscissaKind, drop_bad: bool):
     header = _TIME_HEADER if kind is AbscissaKind.TIME else _FREQ_HEADER
     dropped: list[int] = []
     xs, cs, us = [], [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    cols, rows = _csv_rows(path)
+    missing = [c for c in header[:2] if c not in cols]
+    if missing:
+        raise ValidationError(f"{path}: missing columns {missing}")
+    ix = cols.index(header[0])
+    ic = cols.index(header[1])
+    iu = cols.index(header[2]) if header[2] in cols else None
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in first]
-        missing = [c for c in header[:2] if c not in cols]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}")
-        ix = cols.index(header[0])
-        ic = cols.index(header[1])
-        iu = cols.index(header[2]) if header[2] in cols else None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            x = float(row[ix])
+            c = float(row[ic])
+            u = float(row[iu]) if iu is not None else 0.0
+        except (ValueError, IndexError):
+            x = c = u = math.nan
+        if not (math.isfinite(x) and math.isfinite(c) and math.isfinite(u)):
+            if drop_bad:
+                dropped.append(lineno)
                 continue
-            try:
-                x = float(row[ix])
-                c = float(row[ic])
-                u = float(row[iu]) if iu is not None else 0.0
-            except (ValueError, IndexError):
-                x = c = u = math.nan
-            if not (math.isfinite(x) and math.isfinite(c) and math.isfinite(u)):
-                if drop_bad:
-                    dropped.append(lineno)
-                    continue
-                raise ValidationError(f"{path}:{lineno}: non-finite row")
-            xs.append(x)
-            cs.append(c)
-            us.append(u)
+            raise ValidationError(f"{path}:{lineno}: non-finite row")
+        xs.append(x)
+        cs.append(c)
+        us.append(u)
     if not xs:
         raise ValidationError(f"{path}: no usable data rows")
     xs = np.asarray(xs)
@@ -254,29 +263,24 @@ def write_reconstruction(recon: ReconstructedSpectrum, path: str | Path) -> Path
 def read_spectrum_csv(path: str | Path):
     """Return (omegas, values, uncertainties, flags) from a spectrum CSV."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    cols, rows = _csv_rows(path)
+    needed = ["omega_rad_s", "s_rad_s"]
+    if any(c not in cols for c in needed):
+        raise ValidationError(f"{path}: missing spectrum columns")
+    iw, iv = cols.index(needed[0]), cols.index(needed[1])
+    iu = cols.index("uncertainty_rad_s") if "uncertainty_rad_s" in cols else None
+    ifl = cols.index("flag") if "flag" in cols else None
+    ws, vs, us, fs = [], [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
         try:
-            cols = [c.strip().lower() for c in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        needed = ["omega_rad_s", "s_rad_s"]
-        if any(c not in cols for c in needed):
-            raise ValidationError(f"{path}: missing spectrum columns")
-        iw, iv = cols.index(needed[0]), cols.index(needed[1])
-        iu = cols.index("uncertainty_rad_s") if "uncertainty_rad_s" in cols else None
-        ifl = cols.index("flag") if "flag" in cols else None
-        ws, vs, us, fs = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ws.append(float(row[iw]))
-                vs.append(float(row[iv]))
-                us.append(float(row[iu]) if iu is not None else 0.0)
-                fs.append(int(row[ifl]) if ifl is not None else 0)
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}:{lineno}: bad or missing cell") from None
+            ws.append(float(row[iw]))
+            vs.append(float(row[iv]))
+            us.append(float(row[iu]) if iu is not None else 0.0)
+            fs.append(int(row[ifl]) if ifl is not None else 0)
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path}:{lineno}: bad or missing cell") from None
     if not ws:
         raise ValidationError(f"{path}: no data rows")
     return (np.asarray(ws), np.asarray(vs), np.asarray(us),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -30,13 +29,6 @@ from .sequences import Family, SensitivityTrace, SequenceSpec
 _POLE_NUDGE = 1e-9  # relative abscissa shift at removable singularities
 _TWO_PI = 2.0 * math.pi
 _EDGE_STRIDE = 32   # grid nodes per first quadrature panel
-
-
-class FFSource(str, Enum):
-    ANALYTIC_CPMG = "analytic_cpmg"
-    ANALYTIC_DYSCO = "analytic_dysco"
-    ANALYTIC_GDYSCO = "analytic_gdysco"
-    NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,6 @@ class FilterFunction:
     omegas: np.ndarray
     values: np.ndarray
     duration: float
-    source: FFSource
     rows: "FilterRows | _TableRow | None" = field(default=None, repr=False,
                                                   compare=False)
 
@@ -331,13 +322,13 @@ def cpmg_ff(n_pulses: int, duration: float,
         raise ValidationError("duration must be positive")
     rows = FilterRows(Family.CPMG, np.array([float(duration)]),
                       n_pulses=int(n_pulses))
-    return _analytic_ff(rows, omegas, FFSource.ANALYTIC_CPMG)
+    return _analytic_ff(rows, omegas)
 
 
-def _analytic_ff(rows: FilterRows, omegas, source: FFSource) -> FilterFunction:
+def _analytic_ff(rows: FilterRows, omegas) -> FilterFunction:
     omegas = rows.grid(0) if omegas is None else np.asarray(omegas, float)
     return FilterFunction(omegas, rows.values(omegas, 0),
-                          float(rows.durations[0]), source, rows=rows)
+                          float(rows.durations[0]), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +374,7 @@ def dysco_ff(spec: SequenceSpec, omegas: np.ndarray | None = None) -> FilterFunc
     """
     if spec.family.pulsed:
         raise ValidationError("dysco_ff needs a continuous-family spec")
-    src = FFSource.ANALYTIC_GDYSCO if spec.family is Family.GDYSCO \
-        else FFSource.ANALYTIC_DYSCO
-    return _analytic_ff(FilterRows.of([spec]), omegas, src)
+    return _analytic_ff(FilterRows.of([spec]), omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +420,7 @@ def numeric_ff(trace: SensitivityTrace, omegas: np.ndarray) -> FilterFunction:
             block = omegas[start:start + 256]
             kernel = np.exp(1j * np.outer(block, trace.times))
             ft[start:start + 256] = dt * (kernel @ trace.values)
-    return FilterFunction(omegas, np.abs(ft) ** 2 / (math.pi * t), t,
-                          FFSource.NUMERIC)
+    return FilterFunction(omegas, np.abs(ft) ** 2 / (math.pi * t), t)
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,15 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
     be extended: a tail above 1e-3 of its value raises ``CoverageError``.
     ``rel_err`` adds the comb remainder to the Kronrod-Gauss estimate.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     duration, table = filters.durations, isinstance(filters, _TableRow)
-    edges, comb, top = _first_edges(spectrum, filters)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # reported below rather than warned about
+        edges, comb, top = _first_edges(spectrum, filters)
+    if not np.all(np.isfinite(top)):
+        raise ValidationError("filter frequencies overflow: a duration or "
+                              "modulation frequency is out of range")
     hi_used = top.copy()
     value, rel_err, tail = (np.empty(duration.size) for _ in range(3))
     nodes = np.zeros(duration.size, dtype=np.int64)
@@ -368,8 +375,8 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
     of integrand evaluations.  Only ``ff.rows`` is read: an analytic
     filter's panels start on its sequence's default grid, whatever grid its
     table was drawn on, and its cutoff grows until that tail is at most
-    ``rel_tol`` of chi.  A table built without ``rows`` (whatever its
-    ``source``) ends at its last node and raises ``CoverageError`` past 1e-3.
+    ``rel_tol`` of chi.  A table built without ``rows`` ends at its last
+    node and raises ``CoverageError`` past 1e-3.
     """
     chis, info = _chi_rows(spectrum, ff.rows, rel_tol)
     return float(chis[0]), {key: info[key][0].item() for key in info}
@@ -508,8 +515,9 @@ def add_measurement_noise(curve: CoherenceCurve, epsilon: float,
     the work reproduces the same curve bit for bit.  The noise level is
     recorded as the per-point uncertainty.
     """
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and non-negative, "
+                              f"got {epsilon!r}")
     words = _stream_words(int(seed), np.arange(curve.coherences.size))
     noisy = curve.coherences.copy()
     if epsilon > 0.0:

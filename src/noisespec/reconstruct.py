@@ -74,8 +74,9 @@ class ReconstructedSpectrum:
             raise ValidationError("reconstruction arrays must have equal length")
         if n == 0:
             raise ValidationError("reconstruction is empty")
-        if np.any(self.omegas <= 0.0) or np.any(np.diff(self.omegas) < 0.0):
-            raise ValidationError("omegas must be positive and sorted")
+        if not np.all(np.isfinite(self.omegas)) or np.any(self.omegas <= 0.0) \
+                or np.any(np.diff(self.omegas) < 0.0):
+            raise ValidationError("omegas must be finite, positive and sorted")
 
     @property
     def valid(self) -> np.ndarray:
@@ -170,6 +171,8 @@ def cpmg_sd(curves: list[CoherenceCurve],
     """
     if not curves:
         raise ValidationError("cpmg_sd needs at least one curve")
+    if bin_count is not None and bin_count < 0:
+        raise ValidationError(f"bin_count must be >= 0, got {bin_count}")
     columns = []        # (omega0, S0, sigma, flag, n, t) per curve
     for curve in curves:
         if curve.abscissa_kind is not AbscissaKind.TIME:

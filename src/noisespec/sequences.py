@@ -72,7 +72,9 @@ class SequenceSpec:
         _require(0.0 < self.amplitude <= 1.0, "amplitude must lie in (0, 1]")
 
     def _init_pulsed(self) -> None:
-        n = 1 if self.family is Family.HAHN else self.n_pulses
+        n = self.n_pulses
+        if self.family is Family.HAHN and n is None:
+            n = 1
         _require(n is not None, "CPMG requires n_pulses")
         _require(int(n) == n and n >= 1, "n_pulses must be a positive integer")
         object.__setattr__(self, "n_pulses", int(n))
@@ -174,7 +176,7 @@ class SequenceSpec:
             return cls(**data)
         except ValidationError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed sequence ({exc})") from None
 
 
@@ -228,7 +230,8 @@ def build_trace(spec: SequenceSpec, sample_rate: float) -> SensitivityTrace:
         period, including quantization steps) by at least the documented
         margins; rejected otherwise.
     """
-    _require(sample_rate > 0.0, "sample_rate must be positive")
+    _require(0.0 < sample_rate < math.inf,
+             "sample_rate must be positive and finite")
     if spec.family.pulsed:
         return _build_pulsed(spec, sample_rate)
     return _build_continuous(spec, sample_rate)

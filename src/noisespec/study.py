@@ -26,6 +26,13 @@ from .reconstruct import CpmgFilterProvider, ReconstructedSpectrum, \
 from .sequences import SequenceSpec
 
 _TWO_PI = 2.0 * math.pi
+# the one geometry both studies run: the pulse counts; the sd study's
+# duration range [s] and points per count; the peak study's carrier sweep,
+# which is also the fit window, and its pulse trains' band [rad/s]
+PULSE_COUNTS = (1, 2, 4, 8)
+SD_TIMES, SD_POINTS_PER_N = (3e-5, 3e-3), 12
+PEAK_BAND, PEAK_SWEEP_POINTS = (1.8e5, 7.5e5), 56
+PEAK_CPMG_BAND, PEAK_POINTS_PER_N = (2.0e4, 2.0e6), 28
 
 
 def _curve_seed(seed: int, index: int) -> int:
@@ -60,9 +67,7 @@ def sd_time_grids(n_list, t_short: float, t_long: float,
             for n in n_list}
 
 
-def sd_study(spectrum: NoiseSpectrum, n_list=(1, 2, 4, 8),
-             t_short: float = 3e-5, t_long: float = 3e-3,
-             points_per_n: int = 12, epsilon: float = 0.0, seed: int = 0,
+def sd_study(spectrum: NoiseSpectrum, epsilon: float = 0.0, seed: int = 0,
              bin_count: int | None = 40,
              rel_tol: float = 1e-4) -> SdStudyResult:
     """Synthesize a pulse-train family, reconstruct, score against truth.
@@ -71,10 +76,10 @@ def sd_study(spectrum: NoiseSpectrum, n_list=(1, 2, 4, 8),
     decades of the probed band (the full band when it spans less than
     two decades), computed on unclipped points.
     """
-    grids = sd_time_grids(n_list, t_short, t_long, points_per_n)
+    grids = sd_time_grids(PULSE_COUNTS, *SD_TIMES, SD_POINTS_PER_N)
     curves = synth_cpmg_family(spectrum, list(grids), time_grid_per_n=grids,
                                rel_tol=rel_tol)
-    if epsilon > 0.0:
+    if epsilon != 0.0:
         curves = _noisy(curves, epsilon, seed)
     recon = cpmg_sd(curves, bin_count=bin_count)
     ok = recon.valid & np.isfinite(recon.values)
@@ -147,29 +152,23 @@ def _line_center(spectrum: NoiseSpectrum) -> float:
 
 
 def peak_study_curves(spectrum: NoiseSpectrum, duration: float = 200e-6,
-                      n_list=(1, 2, 4, 8), band=(1.8e5, 7.5e5),
-                      cpmg_band=(2.0e4, 2.0e6), sweep_points: int = 56,
-                      points_per_n: int = 28, rel_tol: float = 1e-4):
+                      rel_tol: float = 1e-4):
     """Noise-free probe curves shared by every seed of the peak study.
 
-    The pulse trains sweep the broad ``cpmg_band`` the way a full spectral
-    decomposition would; the carrier sweeps cover only ``band`` around the
-    line, which is where all three methods are later compared.
+    The pulse trains sweep the broad ``PEAK_CPMG_BAND`` the way a full
+    spectral decomposition would; the carrier sweeps cover only
+    ``PEAK_BAND`` around the line, which is where all three methods are
+    later compared.
     """
-    lo, hi = band
-    if not 0.0 < lo < hi:
-        raise ValidationError("band must satisfy 0 < lo < hi")
-    c_lo, c_hi = cpmg_band
-    if not 0.0 < c_lo < c_hi:
-        raise ValidationError("cpmg_band must satisfy 0 < lo < hi")
     grids: dict[int, np.ndarray] = {}
-    for n in n_list:
+    for n in PULSE_COUNTS:
         # pulse-train probe frequency is inversely proportional to duration
-        z0 = CpmgFilterProvider.omega0(int(n), 1.0)
-        grids[int(n)] = np.sort(z0 / np.geomspace(c_lo, c_hi, points_per_n))
+        z0 = CpmgFilterProvider.omega0(n, 1.0)
+        grids[n] = np.sort(z0 / np.geomspace(*PEAK_CPMG_BAND,
+                                             PEAK_POINTS_PER_N))
     cpmg_curves = synth_cpmg_family(spectrum, list(grids), time_grid_per_n=grids,
                                     rel_tol=rel_tol)
-    f_grid = np.linspace(lo, hi, sweep_points) / _TWO_PI
+    f_grid = np.linspace(*PEAK_BAND, PEAK_SWEEP_POINTS) / _TWO_PI
     dysco_tpl = SequenceSpec.dysco(duration=duration,
                                    mod_frequency=float(f_grid[0]))
     gdysco_tpl = SequenceSpec.gdysco(duration=duration,
@@ -187,30 +186,25 @@ def _fit_peak(recon: ReconstructedSpectrum,
 
 def peak_study(spectrum: NoiseSpectrum, epsilon: float = 0.03,
                seeds=(0, 1, 2, 3, 4), duration: float = 200e-6,
-               n_list=(1, 2, 4, 8), band=(1.8e5, 7.5e5),
-               cpmg_band=(2.0e4, 2.0e6), sweep_points: int = 56,
-               points_per_n: int = 28, rel_tol: float = 1e-4,
-               curves=None) -> PeakStudyResult:
+               rel_tol: float = 1e-4, curves=None) -> PeakStudyResult:
     """Compare the three probing strategies on one spectral line.
 
-    All three fits share the window ``band``; the pulse-train reconstruction
-    covers the wider ``cpmg_band``, so its low-frequency harmonic artifacts
-    stay outside the fitted window.  ``curves`` accepts the output of
-    :func:`peak_study_curves` so that the expensive noise-free synthesis can
-    be shared between calls; it must have been generated with the same
-    spectrum and geometry.
+    All three fits share the window ``PEAK_BAND``; the pulse-train
+    reconstruction covers the wider ``PEAK_CPMG_BAND``, so its
+    low-frequency harmonic artifacts stay outside the fitted window.
+    ``curves`` accepts the output of :func:`peak_study_curves` so that the
+    expensive noise-free synthesis can be shared between calls; it must
+    have been generated with the same spectrum, duration and rel_tol.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValidationError("peak study needs at least one seed")
     truth_hz = _line_center(spectrum) / _TWO_PI
     if curves is None:
-        curves = peak_study_curves(spectrum, duration=duration, n_list=n_list,
-                                   band=band, cpmg_band=cpmg_band,
-                                   sweep_points=sweep_points,
-                                   points_per_n=points_per_n, rel_tol=rel_tol)
+        curves = peak_study_curves(spectrum, duration=duration,
+                                   rel_tol=rel_tol)
     cpmg_curves, dysco_curve, gdysco_curve = curves
-    window_hz = (band[0] / _TWO_PI, band[1] / _TWO_PI)
+    window_hz = (PEAK_BAND[0] / _TWO_PI, PEAK_BAND[1] / _TWO_PI)
     per_seed = []
     samples: dict[str, list[tuple[float, float]]] = \
         {"cpmg_sd": [], "dysco": [], "gdysco": []}
@@ -252,5 +246,5 @@ def peak_study(spectrum: NoiseSpectrum, epsilon: float = 0.03,
         gdysco=summarize("gdysco"),
         reconstructions=first_recons,
         metadata={"epsilon": epsilon, "duration": duration,
-                  "band": tuple(band), "seeds": seeds, "per_seed": per_seed},
+                  "band": PEAK_BAND, "seeds": seeds, "per_seed": per_seed},
     )

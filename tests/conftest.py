@@ -1,12 +1,17 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from noisespec import (
     CpmgFilterProvider,
     default_experiment_spectrum,
     lorentzian_dc,
 )
+
+# CI selects this profile (--hypothesis-profile=ci): examples drawn from a
+# fixed seed, so a failure reproduces on a rerun
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

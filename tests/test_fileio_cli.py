@@ -1,14 +1,19 @@
 """File formats, sidecars, manifests, and the command line."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import noisespec.fitting
 from noisespec import (
@@ -566,11 +571,12 @@ def test_cli_config_with_equals_sign_sets_defaults(tmp_path):
     ("synth", {"n_list": [2]}),
     ("reconstruct", {"schema": 5}),
     ("fit", {"initial": {"gauss_delta": 5e5}}),
+    ("synth", {"epsilon": None}),
 ], ids=["list-for-float", "abc-for-epsilon", "object-for-seed", "true-for-bins",
         "outside-choices", "string-for-flag", "number-for-times",
         "list-for-f-grid", "number-for-outdir", "number-for-out",
         "number-for-spectrum", "list-for-orders", "list-for-n-list",
-        "number-for-schema", "object-for-initial"])
+        "number-for-schema", "object-for-initial", "null-for-epsilon"])
 def test_cli_wrong_typed_config_default_exits_3(tmp_path, monkeypatch, capsys,
                                                 command, config):
     monkeypatch.chdir(tmp_path)
@@ -660,6 +666,113 @@ def test_cli_malformed_curve_sidecar_exits_3(tmp_path, capsys, small_curve,
     assert "c.meta.json" in _one_line_error(capsys)
 
 
+def test_cli_infinite_pulse_count_in_a_sidecar_exits_3(tmp_path, capsys,
+                                                       small_curve):
+    # JSON reads 1e400 as inf, and int(inf) raises OverflowError
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    meta_file = tmp_path / "c.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["sequence"]["n_pulses"] = "BIG"
+    meta_file.write_text(json.dumps(meta).replace('"BIG"', "1e400"))
+    rc = cli_main(["reconstruct", "--mode", "sd", "--curves", str(path),
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "c.meta.json" in _one_line_error(capsys)
+
+
+def test_cli_pulse_count_in_a_sidecar_meets_the_cap(tmp_path, capsys,
+                                                    small_curve):
+    # the sidecar is read before any filter is built, so an oversized
+    # count allocates nothing
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    meta_file = tmp_path / "c.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["sequence"] = {"family": "cpmg", "n_pulses": 10**6,
+                        "duration": meta["sequence"]["duration"]}
+    meta_file.write_text(json.dumps(meta))
+    rc = cli_main(["reconstruct", "--mode", "sd", "--curves", str(path),
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "cap of 1000" in _one_line_error(capsys)
+
+
+_ZERO_SYNTH = ["synth", "--spectrum", "zero", "--times", "1e-5:1e-4:3"]
+_REJECTED = {
+    "reconstruct-bins": (["reconstruct", "--mode", "sd", "--bins", "-3",
+                          "--curves", "CURVE"], "bin_count"),
+    "roundtrip-bins": (["roundtrip", "--mode", "sd", "--rel-tol", "1e-3",
+                        "--bins", "-3"], "bin_count"),
+    "oracle-rate": (["oracle", "--family", "hahn", "--tau", "1e-5",
+                     "--n-realizations", "100", "--modes", "8",
+                     "--sample-rate", "inf"], "sample_rate"),
+    "peak-fit-omega": (["fit", "--mode", "peak", "--curves", "NAN_OMEGA"],
+                       "finite"),
+    **{f"epsilon={e}": ([*_ZERO_SYNTH, "--family", "cpmg", "--n-list", "2",
+                         "--epsilon", e], "epsilon") for e in ("-1", "nan")},
+    **{f"rel-tol={r}": ([*_ZERO_SYNTH, "--family", "cpmg", "--n-list", "2",
+                         "--rel-tol", r], "rel_tol")
+       for r in ("nan", "2", "0", "-1")},
+    "oracle-rel-tol": (["oracle", "--spectrum", "zero", "--family", "cpmg",
+                        "--n", "2", "--duration", "2e-5", "--rel-tol", "nan",
+                        "--n-realizations", "100", "--modes", "8"],
+                       "rel_tol"),
+    "hahn-n-list": ([*_ZERO_SYNTH, "--family", "hahn", "--n-list", "1,2"],
+                    "one pulse"),
+    "hahn-n": ([*_ZERO_SYNTH, "--family", "hahn", "--n", "3"], "one pulse"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_cli_invalid_value_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                      small_curve, case):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    curve = write_curve(small_curve, inputs / "c.csv")
+    spectrum = inputs / "s.csv"
+    w = np.linspace(3e5, 5e5, 21)
+    spectrum.write_text("omega_rad_s,s_rad_s\n" + "".join(
+        f"{'nan' if i == 10 else repr(x)},{math.exp(-((x - 4e5) / 3e4) ** 2)!r}\n"
+        for i, x in enumerate(w.tolist())))
+    argv, message = _REJECTED[case]
+    argv = [{"CURVE": str(curve), "NAN_OMEGA": str(spectrum)}.get(a, a)
+            for a in argv]
+    out = tmp_path / "out"
+    rc = cli_main([*argv, "--outdir", str(out)])
+    assert rc == 3
+    assert message in _one_line_error(capsys)
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "1"),
+                                         ("--rel-tol", "1e-3")])
+@pytest.mark.parametrize("argv", [
+    ["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4"],
+    ["bandwidth", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+     "--f-rabi", "2e6"],
+    ["reconstruct", "--mode", "sd", "--curves", "c.csv"],
+    ["fit", "--mode", "comb", "--curves", "c.csv"],
+], ids=["ff", "bandwidth", "reconstruct", "fit"])
+def test_cli_seed_and_tolerance_only_where_read(tmp_path, capsys, argv, flag,
+                                                value):
+    with pytest.raises(SystemExit) as err:
+        cli_main([*argv, flag, value, "--outdir", str(tmp_path)])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_cli_config_key_of_another_command_is_not_recorded(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 4,
+                                                   "rel_tol": 1e-3,
+                                                   "epsilon": 0.5}))
+    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                   "--config", str(tmp_path / "cfg.json"),
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "ff_cpmg_manifest.json").read_text())
+    assert manifest["seed"] is None
+    assert not {"seed", "rel_tol", "epsilon"} & set(manifest["config"])
+
+
 @pytest.mark.parametrize("flags", [
     ["--n-list", "2,x", "--times", "1e-5:1e-4:3"],
     ["--revivals", "--orders", "1,y"],
@@ -701,3 +814,216 @@ def test_commands_that_fit_nothing_never_load_the_scipy_solvers(tmp_path):
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == ""
+
+
+# --------------------------------------------------------------------------
+# Fuzzed command lines: any input ends in one documented exit code, and a
+# refused one in one error line, never a traceback.  Drawn durations and
+# pulse counts stay small, and no revival orders are drawn, since a valid
+# but large request is slow rather than wrong.
+
+
+def _fuzz_cli(argv: list[str], workdir: Path) -> int:
+    """Run the CLI in ``workdir``; check the exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = cli_main(argv)
+            except SystemExit as exc:     # argparse: usage, then one line
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    text = err.getvalue()
+    assert rc in (0, 2, 3, 4), (argv, rc, text)
+    assert "Traceback" not in text
+    # a warning reaches stderr as more lines, and from numpy it means that
+    # some arithmetic overflowed or divided by zero
+    assert not [w for w in caught if w.category is RuntimeWarning], \
+        [str(w.message) for w in caught]
+    if rc == 2:
+        lines = text.splitlines()
+        assert ": error: " in lines[-1]
+        assert not any(": error: " in line for line in lines[:-1])
+    elif rc in (3, 4):
+        assert text.startswith(("error: ", "numeric error: ")), text
+        assert text.count("\n") == 1, text
+    return rc
+
+
+# tmp_path is shared by the examples of a test; each example works in a
+# fresh directory under it
+_FUZZ = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_SPECIAL = ["nan", "inf", "-inf", "-1", "0", "1e400", "-0", "1e-320", "x", ""]
+
+
+def _number(lo: float, hi: float):
+    """A decimal token: a float in [lo, hi] or one of the special values."""
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(_SPECIAL))
+
+
+_GRID_TOKEN = st.one_of(
+    st.text(alphabet="0123456789.:-+eEnaifgeomlx ", max_size=24),
+    st.tuples(_number(-1e-3, 1e-3), _number(-1e-3, 1e-3),
+              st.sampled_from(["-1", "0", "1", "3", "10001", "1.5", "z"]),
+              st.sampled_from([None, "lin", "geom", "log"])).map(
+        lambda p: ":".join(x for x in p if x is not None)))
+
+
+@_FUZZ
+@given(token=_GRID_TOKEN)
+def test_fuzz_times_grid(tmp_path, token):
+    # synth parses the grid, then rel_tol 2 is rejected before any
+    # quadrature: a large grid that parses costs nothing
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    _fuzz_cli(["synth", "--spectrum", "zero", "--family", "cpmg",
+               "--n-list", "2", "--times", token, "--rel-tol", "2"],
+              tmp_path)
+
+
+@_FUZZ
+@given(lo=_number(1e-6, 1e-3), hi=_number(1e-6, 1e-3),
+       count=st.integers(-2, 4))
+def test_fuzz_small_times_grid_runs(tmp_path, lo, hi, count):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    _fuzz_cli(["synth", "--spectrum", "zero", "--family", "cpmg",
+               "--n-list", "2", "--times", f"{lo}:{hi}:{count}"], tmp_path)
+
+
+@_FUZZ
+@given(lo=_number(-1e5, 1e6), hi=_number(-1e5, 1e6), count=st.integers(-2, 4))
+def test_fuzz_carrier_grid(tmp_path, lo, hi, count):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    _fuzz_cli(["synth", "--spectrum", "zero", "--family", "dysco",
+               "--duration", "2e-4", "--f-grid", f"{lo}:{hi}:{count}"],
+              tmp_path)
+
+
+_CELL = st.one_of(st.sampled_from(_SPECIAL + ["1e-5", "2e-5", "0.5", "1.5"]),
+                  st.floats(-1.0, 2.0).map(repr),
+                  st.text(alphabet="0123456789.e-,\"", max_size=6))
+_HEADER = st.sampled_from([
+    "time_s,coherence,uncertainty", "time_s,coherence", "frequency_hz,coherence",
+    "frequency_hz,coherence,uncertainty", "omega_rad_s,s_rad_s",
+    "omega_rad_s,s_rad_s,uncertainty_rad_s,flag", "a,b", ""])
+_TABLE = st.one_of(
+    st.tuples(_HEADER, st.lists(st.lists(_CELL, max_size=5), max_size=8)).map(
+        lambda t: "\n".join([t[0], *(",".join(r) for r in t[1])]).encode()),
+    st.binary(max_size=64))
+
+
+@_FUZZ
+@given(table=_TABLE, schema=st.sampled_from(["time_csv", "freq_csv"]))
+def test_fuzz_ingest_curve(tmp_path, table, schema):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    (tmp_path / "raw.csv").write_bytes(table)
+    if schema == "time_csv":
+        argv = ["reconstruct", "--mode", "sd", "--family", "cpmg", "--n", "2",
+                "--duration", "1e-4"]
+    else:
+        argv = ["reconstruct", "--mode", "direct", "--family", "dysco",
+                "--duration", "2e-4", "--f0", "8e4"]
+    _fuzz_cli([*argv, "--schema", schema, "--curves", "raw.csv",
+               "--outdir", "out"], tmp_path)
+
+
+@_FUZZ
+@given(table=_TABLE)
+def test_fuzz_read_spectrum_csv(tmp_path, table):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    (tmp_path / "s.csv").write_bytes(table)
+    _fuzz_cli(["fit", "--mode", "peak", "--curves", "s.csv",
+               "--outdir", "out"], tmp_path)
+
+
+_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10), st.floats(),
+    st.sampled_from(["cpmg", "hahn", "dysco", "sd", "2", "1e-4", "nan", "x"]),
+    st.text(max_size=8), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=1))
+_CONFIG_KEYS = st.sampled_from([
+    "family", "n", "duration", "tau", "f0", "sigma", "quant_steps",
+    "amplitude", "f_rabi", "t2_echo", "margin", "seed", "rel_tol", "epsilon",
+    "mode", "bins", "func", "command", "help", "outdir", "out", "config",
+    "unknown"])
+
+
+@_FUZZ
+@given(config=st.dictionaries(_CONFIG_KEYS, _JSON_VALUE, max_size=4),
+       command=st.sampled_from(["ff", "bandwidth"]))
+def test_fuzz_config_preload(tmp_path, config, command):
+    # the paths are given on the command line, which a config only defaults
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = [command, "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+            "--config", "cfg.json", "--outdir", "out", "--out", "run"]
+    if command == "bandwidth":
+        argv += ["--f-rabi", "2e6"]
+    _fuzz_cli(argv, tmp_path)
+
+
+_SEQUENCE = st.fixed_dictionaries({}, optional={
+    "family": st.sampled_from(["cpmg", "hahn", "dysco", "gdysco", "x", 3]),
+    "duration": st.one_of(st.floats(), st.sampled_from([1e-4, 2e-4, "1e-4"])),
+    "n_pulses": st.one_of(st.integers(-2, 16), st.floats(),
+                          st.sampled_from(["2", None, "BIG"])),
+    "tau_free": st.one_of(st.none(), st.floats(), st.just(2.5e-5)),
+    "mod_frequency": st.one_of(st.none(), st.floats(), st.just(8e4)),
+    "envelope_sigma": st.one_of(st.none(), st.floats()),
+    "quant_steps": st.one_of(st.integers(-1, 4), st.floats()),
+    "amplitude": st.one_of(st.floats(), st.just(0.5)),
+    "phase": st.just(0.0),
+})
+
+
+@_FUZZ
+@given(sequence=_SEQUENCE)
+def test_fuzz_sequence_from_sidecar(tmp_path, small_curve, sequence):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    meta_file = tmp_path / "c.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["sequence"] = sequence
+    # JSON reads 1e400 as inf; json.dumps writes inf as the non-standard
+    # Infinity, which Python's reader also accepts
+    meta_file.write_text(json.dumps(meta).replace('"BIG"', "1e400"))
+    _fuzz_cli(["reconstruct", "--mode", "sd", "--curves", "c.csv",
+               "--outdir", "out"], tmp_path)
+
+
+@_FUZZ
+@given(epsilon=_number(-1.0, 1.0), rel_tol=_number(-1.0, 2.0),
+       seed=st.one_of(st.integers(-3, 2**70).map(str), _number(-1.0, 1e3)))
+def test_fuzz_synth_numbers(tmp_path, epsilon, rel_tol, seed):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    _fuzz_cli(["synth", "--spectrum", "zero", "--family", "cpmg",
+               "--n-list", "2", "--times", "1e-5:1e-4:3",
+               "--epsilon", epsilon, "--rel-tol", rel_tol, "--seed", seed,
+               "--outdir", "out"], tmp_path)
+
+
+@_FUZZ
+@given(bins=st.one_of(st.integers(-5, 10**6).map(str), _number(-1.0, 50.0)))
+def test_fuzz_reconstruct_bins(tmp_path, small_curve, bins):
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    write_curve(small_curve, tmp_path / "c.csv")
+    _fuzz_cli(["reconstruct", "--mode", "sd", "--curves", "c.csv",
+               "--bins", bins, "--outdir", "out"], tmp_path)
+
+
+@_FUZZ
+@given(rate=st.sampled_from(["inf", "-inf", "nan", "-1", "0", "1e3", "x"]),
+       realizations=st.integers(-5, 200), modes=st.integers(-5, 16),
+       rel_tol=_number(-1.0, 2.0))
+def test_fuzz_oracle_numbers(tmp_path, rate, realizations, modes, rel_tol):
+    # the rate stays off large finite values: the trace has no size cap
+    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
+    _fuzz_cli(["oracle", "--spectrum", "zero", "--family", "hahn",
+               "--tau", "1e-5", "--sample-rate", rate,
+               "--n-realizations", str(realizations), "--modes", str(modes),
+               "--rel-tol", rel_tol, "--outdir", "out"], tmp_path)

@@ -13,7 +13,6 @@ from noisespec import (
     AbscissaKind,
     CoherenceCurve,
     CoverageError,
-    FFSource,
     Family,
     FilterFunction,
     Provenance,
@@ -184,8 +183,7 @@ def test_first_edges_are_each_rows_own_union(bath, kind, n, log_t, log_f):
         filters = FilterRows.of([SequenceSpec.cpmg(n, duration=tk) for tk in t])
     elif kind == "table":
         ff = cpmg_ff(n, float(t[0]))
-        filters = FilterFunction(ff.omegas, ff.values, ff.duration,
-                                 FFSource.NUMERIC).rows
+        filters = FilterFunction(ff.omegas, ff.values, ff.duration).rows
     else:
         make = SequenceSpec.dysco if kind == "dysco" else SequenceSpec.gdysco
         f = np.sort(10.0 ** np.array(log_f)) / t[0]   # >= one period each
@@ -360,14 +358,13 @@ def test_numeric_filter_must_cover_the_spectrum(bath):
         chi_detailed(bath, short)
 
 
-@pytest.mark.parametrize("source", list(FFSource), ids=lambda s: s.value)
-def test_a_bare_table_is_coverage_checked(source):
+def test_a_bare_table_is_coverage_checked():
     # a FilterFunction built from arrays alone is integrated as a table,
-    # whatever its label, with the same tail envelope as numeric_ff's, so
-    # a short grid cannot truncate chi silently
+    # with the same tail envelope as numeric_ff's, so a short grid cannot
+    # truncate chi silently
     bath = gaussian_peak(2e4, 1e5, 3e6)
     short = _trace_filter(SequenceSpec.cpmg(2, duration=1e-4), 80.0)
-    table = FilterFunction(short.omegas, short.values, short.duration, source)
+    table = FilterFunction(short.omegas, short.values, short.duration)
     with pytest.raises(CoverageError, match="ends before the spectrum"):
         chi_detailed(bath, table)
 
@@ -479,7 +476,7 @@ def test_filter_for_without_spectrum_is_the_closed_form(spec):
     ff = filter_for(spec)
     ref = cpmg_ff(spec.n_pulses, spec.duration) if spec.family.pulsed \
         else dysco_ff(spec)
-    assert ff.source is ref.source and ff.duration == ref.duration
+    assert ff.duration == ref.duration
     assert np.array_equal(ff.omegas, ref.omegas)
     assert np.array_equal(ff.values, ref.values)
 
@@ -615,6 +612,32 @@ def test_noise_is_deterministic_per_seed():
     assert np.array_equal(a.coherences, b.coherences)
     assert not np.array_equal(a.coherences, c.coherences)
     assert np.all(a.uncertainties == 0.03)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+def test_noise_level_must_be_finite_and_non_negative(epsilon):
+    with pytest.raises(ValidationError, match="epsilon"):
+        add_measurement_noise(_clean_curve(), epsilon, seed=0)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, 2.0, 1.0, 0.0, -1.0])
+def test_chi_tolerance_must_lie_in_the_open_unit_interval(bath, rel_tol):
+    # a NaN tolerance fails every stopping test and would return the
+    # unconverged first pass; 0 or less can never be met
+    with pytest.raises(ValidationError, match="rel_tol"):
+        chi_detailed(bath, cpmg_ff(2, 1e-4), rel_tol=rel_tol)
+    with pytest.raises(ValidationError, match="rel_tol"):
+        synth_cpmg_family(bath, [2], time_grid_per_n={2: [1e-4]},
+                          rel_tol=rel_tol)
+
+
+def test_synthesis_rejects_frequencies_that_overflow(bath):
+    # a subnormal duration puts the pulse train's grid at omega = inf;
+    # that is an error, with no numpy warning before it
+    with pytest.raises(ValidationError, match="overflow"):
+        synth_cpmg_family(bath, [2], time_grid_per_n={2: [1e-320, 1e-5]})
+    with pytest.raises(ValidationError, match="overflow"):
+        synth_dysco_sweep(bath, SequenceSpec.dysco(1.0, 1e5), [1e5, math.inf])
 
 
 def test_noise_amplitude_matches_epsilon():

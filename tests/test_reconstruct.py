@@ -113,6 +113,16 @@ def test_sd_binning_aggregates_points(dc_lorentzian):
     assert binned.method is Method.CPMG_SD
 
 
+def test_sd_rejects_a_negative_bin_count(dc_lorentzian):
+    curves = _sd_curves(dc_lorentzian, (1,), np.geomspace(5e-5, 1e-3, 4))
+    with pytest.raises(ValidationError, match="bin_count"):
+        cpmg_sd(curves, bin_count=-3)
+    # None and 0 both mean raw points
+    raw = cpmg_sd(curves, bin_count=None)
+    assert np.array_equal(cpmg_sd(curves, bin_count=0).values, raw.values,
+                          equal_nan=True)
+
+
 def test_binned_uncertainty_is_the_spread_of_its_bin(dc_lorentzian):
     times = np.geomspace(5e-5, 1e-3, 8)
     curves = _sd_curves(dc_lorentzian, (1, 2, 4), times)
@@ -361,3 +371,18 @@ def test_reconstruction_validation():
             omegas=np.array([1.0, 2.0]), values=np.array([1.0]),
             uncertainties=np.zeros(2), flags=np.zeros(2, dtype=int),
             method=Method.CPMG_SD)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reconstruction_rejects_non_finite_omegas(bad):
+    # a NaN value is legal (a clipped point carries one); a NaN omega is not
+    def make(omegas):
+        return ReconstructedSpectrum(
+            omegas=np.asarray(omegas), values=np.array([1.0, math.nan, 3.0]),
+            uncertainties=np.zeros(3), flags=np.array([0, FLAG_CLIPPED, 0]),
+            method=Method.CPMG_SD)
+    assert make([1.0, 2.0, 3.0]).omegas.size == 3
+    with pytest.raises(ValidationError, match="finite"):
+        make([1.0, 2.0, bad])
+    with pytest.raises(ValidationError, match="finite"):
+        make([bad, 2.0, 3.0])

@@ -87,11 +87,25 @@ def test_quantization_only_for_continuous_families():
                      duration=4e-6, quant_steps=8)
 
 
+def test_hahn_rejects_a_second_pulse():
+    with pytest.raises(ValidationError, match="exactly one pulse"):
+        SequenceSpec(Family.HAHN, duration=4e-5, n_pulses=2)
+    assert SequenceSpec(Family.HAHN, duration=4e-5).n_pulses == 1
+
+
 def test_roundtrip_through_dict():
     spec = SequenceSpec.gdysco(duration=2e-4, mod_frequency=3e5,
                                envelope_sigma=4e-5, amplitude=0.8)
     clone = SequenceSpec.from_dict(spec.to_dict())
     assert clone == spec
+
+
+@pytest.mark.parametrize("n_pulses", [math.inf, -math.inf, math.nan])
+def test_from_dict_rejects_a_non_finite_pulse_count(n_pulses):
+    payload = SequenceSpec.cpmg(2, duration=1e-4).to_dict()
+    payload["n_pulses"] = n_pulses
+    with pytest.raises(ValidationError):
+        SequenceSpec.from_dict(payload)
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -185,6 +199,15 @@ def test_too_coarse_sample_rate_rejected():
     spec = SequenceSpec.cpmg(n_pulses=8, tau_free=1e-6)
     with pytest.raises(ValidationError):
         build_trace(spec, sample_rate=1e6)
+
+
+@pytest.mark.parametrize("spec", [SequenceSpec.hahn(1e-5),
+                                  SequenceSpec.dysco(2e-4, 8e4)],
+                         ids=["hahn", "dysco"])
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_sample_rate_must_be_finite(spec, rate):
+    with pytest.raises(ValidationError, match="sample_rate"):
+        build_trace(spec, sample_rate=rate)
 
 
 # --------------------------------------------------------------------------

@@ -28,11 +28,9 @@ def test_sd_time_grids_shape_and_validation():
 
 
 def test_sd_study_scores_noise_free_recovery(dc_lorentzian):
-    result = sd_study(dc_lorentzian, n_list=(1, 2), t_short=5e-5,
-                      t_long=1e-3, points_per_n=6, bin_count=None,
-                      rel_tol=1e-3)
+    result = sd_study(dc_lorentzian, bin_count=None, rel_tol=1e-3)
     assert isinstance(result.reconstruction, ReconstructedSpectrum)
-    assert len(result.curves) == 2
+    assert len(result.curves) == 4
     assert result.n_compared >= 4
     assert 0.0 <= result.median_rel_error_central < 1.0
     lo, hi = result.central_band
@@ -40,8 +38,7 @@ def test_sd_study_scores_noise_free_recovery(dc_lorentzian):
 
 
 def test_sd_study_is_deterministic_per_seed(dc_lorentzian):
-    kwargs = dict(n_list=(1, 2), t_short=5e-5, t_long=1e-3, points_per_n=6,
-                  bin_count=None, rel_tol=1e-3, epsilon=0.05)
+    kwargs = dict(bin_count=None, rel_tol=1e-3, epsilon=0.05)
     a = sd_study(dc_lorentzian, seed=3, **kwargs)
     b = sd_study(dc_lorentzian, seed=3, **kwargs)
     c = sd_study(dc_lorentzian, seed=4, **kwargs)
@@ -80,8 +77,3 @@ def test_peak_study_reuses_prebuilt_curves(bath):
     b = peak_study(bath, seeds=(1,), curves=curves)
     assert a.gdysco.center_hz == b.gdysco.center_hz
     assert a.cpmg_sd.width_hz == b.cpmg_sd.width_hz
-
-
-def test_peak_study_band_validation(bath):
-    with pytest.raises(ValidationError):
-        peak_study_curves(bath, band=(7e5, 2e5))
