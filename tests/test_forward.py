@@ -358,12 +358,26 @@ def test_numeric_filter_must_cover_the_spectrum(bath):
         chi_detailed(bath, short)
 
 
-def test_a_bare_table_is_coverage_checked():
+_SHORT_FILTERS = {
+    "analytic_cpmg": lambda grid: cpmg_ff(2, 1e-4, omegas=grid),
+    "analytic_dysco": lambda grid: dysco_ff(SequenceSpec.dysco(1e-4, 1e5),
+                                            omegas=grid),
+    "analytic_gdysco": lambda grid: dysco_ff(SequenceSpec.gdysco(1e-4, 1e5),
+                                             omegas=grid),
+    "numeric": lambda grid: numeric_ff(
+        build_trace(SequenceSpec.cpmg(2, duration=1e-4), 4e6), grid),
+}
+
+
+@pytest.mark.parametrize("make", list(_SHORT_FILTERS.values()),
+                         ids=list(_SHORT_FILTERS))
+def test_a_bare_table_is_coverage_checked(make):
     # a FilterFunction built from arrays alone is integrated as a table,
-    # with the same tail envelope as numeric_ff's, so a short grid cannot
-    # truncate chi silently
+    # whichever filter the arrays came from, with the same tail envelope as
+    # numeric_ff's, so a short grid cannot truncate chi silently
     bath = gaussian_peak(2e4, 1e5, 3e6)
-    short = _trace_filter(SequenceSpec.cpmg(2, duration=1e-4), 80.0)
+    short = make(default_cpmg_omegas(2, 1e-4, z_max=80.0))
+    assert short.omegas[-1] < bath.extent()
     table = FilterFunction(short.omegas, short.values, short.duration)
     with pytest.raises(CoverageError, match="ends before the spectrum"):
         chi_detailed(bath, table)
