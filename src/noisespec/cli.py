@@ -38,6 +38,7 @@ _TWO_PI = 2.0 * math.pi
 # default filter grid holds about 100 nodes per pulse
 _MAX_GRID_POINTS = 10_000
 _MAX_PULSES = 1_000
+_BINS_HELP = "log-spaced spectrum bins, at most 10000 (0: raw points)"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def _cmd_synth(args) -> int:
             raise ValidationError("continuous synth needs --f-grid (Hz)")
         f_grid = _parse_grid(args.f_grid, geometric=False)
         if args.f0 is None:
-            args.f0 = float(f_grid[0])   # template carrier; swept anyway
+            args.f0 = float(f_grid[0])   # the template's; the grid sweeps it
         spec = _sequence_from_args(args)
         curves = [synth_dysco_sweep(spectrum, spec, f_grid,
                                     rel_tol=args.rel_tol)]
@@ -510,7 +511,7 @@ def build_parser(defaults: dict | None = None,
                            help="invert coherence curves to a spectrum")
     p_rec.add_argument("--mode", choices=["sd", "direct"], required=True)
     p_rec.add_argument("--curves", nargs="+", required=True)
-    p_rec.add_argument("--bins", type=int, default=40)
+    p_rec.add_argument("--bins", type=int, default=40, help=_BINS_HELP)
     p_rec.add_argument("--schema", default=None,
                        choices=["time_csv", "freq_csv"],
                        help="ingest raw CSVs instead of sidecar curves")
@@ -536,7 +537,7 @@ def build_parser(defaults: dict | None = None,
     p_rt.add_argument("--spectrum", default="default")
     p_rt.add_argument("--epsilon", type=float, default=0.03)
     p_rt.add_argument("--duration", type=float, default=200e-6)
-    p_rt.add_argument("--bins", type=int, default=None)
+    p_rt.add_argument("--bins", type=int, default=None, help=_BINS_HELP)
     p_rt.set_defaults(func=_cmd_roundtrip)
 
     if defaults and command in sub.choices:

@@ -105,7 +105,6 @@ def write_curve(curve: CoherenceCurve, path: str | Path) -> Path:
         for x, c, u in zip(curve.xs, curve.coherences, curve.uncertainties))))
     write_json(_meta_path(path), {
         "abscissa_kind": curve.abscissa_kind.value,
-        "swept": curve.swept,
         "sequence": curve.sequence.to_dict(),
         "provenance": curve.provenance.to_dict(),
         "metadata": curve.metadata,
@@ -114,7 +113,8 @@ def write_curve(curve: CoherenceCurve, path: str | Path) -> Path:
 
 
 def read_curve(path: str | Path) -> CoherenceCurve:
-    """Read back a curve written by :func:`write_curve` (sidecar required)."""
+    """Read back a curve written by :func:`write_curve` (sidecar required);
+    sidecar keys it does not read, as in older files, are ignored."""
     path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():
@@ -126,14 +126,14 @@ def read_curve(path: str | Path) -> CoherenceCurve:
         prov = sidecar.get("provenance", {})
         provenance = Provenance(kind=prov.get("kind", "ingested"),
                                 seed=prov.get("seed"), path=prov.get("path"))
-        swept, metadata = sidecar["swept"], sidecar.get("metadata", {})
+        metadata = sidecar.get("metadata", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
     xs, cs, us, _ = _read_rows(path, kind, drop_bad=False)
     return CoherenceCurve(
         abscissa_kind=kind,
         xs=xs, coherences=cs, uncertainties=us,
-        sequence=sequence, swept=swept, provenance=provenance,
+        sequence=sequence, provenance=provenance,
         metadata=metadata,
     )
 
@@ -190,8 +190,7 @@ def _read_rows(path: Path, kind: AbscissaKind, drop_bad: bool):
 
 
 def ingest_curve(path: str | Path, schema: CurveSchema | str,
-                 sequence: SequenceSpec | None = None,
-                 swept: str | None = None) -> CoherenceCurve:
+                 sequence: SequenceSpec | None = None) -> CoherenceCurve:
     """Load an externally produced coherence table.
 
     Non-finite rows are dropped with a warning naming their line numbers;
@@ -210,14 +209,11 @@ def ingest_curve(path: str | Path, schema: CurveSchema | str,
         sidecar = read_json(meta_file)
         try:
             sequence = SequenceSpec.from_dict(sidecar["sequence"])
-            swept = swept or sidecar.get("swept")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
     if sequence is None:
         raise ValidationError(
             "ingest needs a SequenceSpec (no sidecar found next to the file)")
-    if swept is None:
-        swept = "duration" if kind is AbscissaKind.TIME else "mod_frequency"
     xs, cs, us, dropped = _read_rows(path, kind, drop_bad=True)
     if dropped:
         warnings.warn(f"{path}: dropped non-finite rows at lines {dropped}",
@@ -228,7 +224,7 @@ def ingest_curve(path: str | Path, schema: CurveSchema | str,
         meta["suspect_rows"] = suspect.tolist()
     return CoherenceCurve(
         abscissa_kind=kind, xs=xs, coherences=cs, uncertainties=us,
-        sequence=sequence, swept=swept,
+        sequence=sequence,
         provenance=Provenance("ingested", path=str(path)),
         metadata=meta,
     )

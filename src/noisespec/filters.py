@@ -76,6 +76,14 @@ def _inverse_square(coef, w: np.ndarray) -> np.ndarray:
     return coef / np.maximum(w, 1e-300) ** 2
 
 
+def _finite_omegas(w: np.ndarray) -> np.ndarray:
+    """``w``, if every frequency in it is finite."""
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("filter frequencies overflow: a duration or "
+                              "modulation frequency is out of range")
+    return w
+
+
 def _grid_edges(grids: np.ndarray) -> np.ndarray:
     """Every 32nd node of each grid (last axis) and its last."""
     return np.concatenate([grids[..., ::_EDGE_STRIDE], grids[..., -1:]], -1)
@@ -110,8 +118,10 @@ class FilterRows:
     """Closed-form filter functions of a batch of sequences, one per row.
 
     The rows differ only in duration (a pulsed family at one pulse count)
-    or only in modulation frequency (one carrier template); ``of`` reads
-    everything else from the first sequence.  Each method takes angular
+    or only in modulation frequency (one carrier template): ``of`` takes
+    them from a curve's abscissa, durations (s) for a pulse train or
+    modulation frequencies (Hz) for a carrier, and every other parameter
+    from the curve's template.  Each method takes angular
     frequencies ``w`` whose last axis runs over the rows ``rows`` (an index
     array that broadcasts against it), or a single row index.
     """
@@ -124,20 +134,20 @@ class FilterRows:
     amplitude: float = 1.0
 
     @classmethod
-    def of(cls, specs) -> "FilterRows":
-        first = specs[0]
+    def of(cls, template: SequenceSpec, xs) -> "FilterRows":
         # the closed forms are those of a smooth carrier; a quantized one is
         # a step trace, with other lobes, that no row here evaluates yet
-        if any(spec.quant_steps for spec in specs):
+        if template.quant_steps:
             raise ValidationError(
                 "no filter function for a quantized carrier (quant_steps > 0)")
-        t = np.array([spec.duration for spec in specs], dtype=float)
-        if first.family.pulsed:
-            return cls(first.family, t, n_pulses=first.n_pulses)
-        return cls(first.family, t,
-                   w0=_TWO_PI * np.array([s.mod_frequency for s in specs]),
-                   envelope_sigma=first.envelope_sigma or 0.0,
-                   amplitude=first.amplitude)
+        xs = np.array(xs, dtype=float)
+        if template.family.pulsed:
+            return cls(template.family, xs, n_pulses=template.n_pulses)
+        with np.errstate(over="ignore"):
+            w0 = _finite_omegas(_TWO_PI * xs)
+        return cls(template.family, np.full(xs.shape, float(template.duration)),
+                   w0=w0, envelope_sigma=template.envelope_sigma or 0.0,
+                   amplitude=template.amplitude)
 
     def grid(self, rows) -> np.ndarray:
         """Each row's default grid (nodes on the last axis)."""
@@ -326,9 +336,12 @@ def cpmg_ff(n_pulses: int, duration: float,
 
 
 def _analytic_ff(rows: FilterRows, omegas) -> FilterFunction:
-    omegas = rows.grid(0) if omegas is None else np.asarray(omegas, float)
-    return FilterFunction(omegas, rows.values(omegas, 0),
-                          float(rows.durations[0]), rows=rows)
+    # an out-of-range duration is reported as one error, not warned about
+    with np.errstate(all="ignore"):
+        omegas = _finite_omegas(rows.grid(0)) if omegas is None \
+            else np.asarray(omegas, float)
+        values = rows.values(omegas, 0)
+    return FilterFunction(omegas, values, float(rows.durations[0]), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +387,7 @@ def dysco_ff(spec: SequenceSpec, omegas: np.ndarray | None = None) -> FilterFunc
     """
     if spec.family.pulsed:
         raise ValidationError("dysco_ff needs a continuous-family spec")
-    return _analytic_ff(FilterRows.of([spec]), omegas)
+    return _analytic_ff(FilterRows.of(spec, [spec.mod_frequency]), omegas)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def _chi_operator(curve: CoherenceCurve,
     is (t_i / 2) FF_i(grid) times the trapezoid weights.
     """
     lo, hi = window
-    filters = FilterRows.of([replace(curve.sequence, duration=float(t),
-                                     tau_free=None) for t in curve.xs])
+    filters = FilterRows.of(curve.sequence, curve.xs)
     points = np.arange(curve.xs.size)
     nodes = filters.grid(points)        # every point's default filter grid
     # 16 samples per filter oscillation: trapezoid error then largely

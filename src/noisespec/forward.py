@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CoverageError, NumericError, ValidationError
 from .filters import _EDGE_STRIDE, FilterFunction, FilterRows, _TableRow, \
-    cpmg_ff, dysco_ff
+    _finite_omegas, cpmg_ff, dysco_ff
 from .noise import ComponentKind, NoiseSpectrum
 from .oracle import _stream_words, _streams
 from .sequences import SequenceSpec
@@ -61,11 +61,11 @@ class Provenance:
 
 @dataclass(frozen=True)
 class CoherenceCurve:
-    """Coherence versus a swept abscissa for one sequence template.
+    """Coherence along the abscissa of one sequence template.
 
     ``xs`` is total evolution time (s) for pulsed families or modulation
-    frequency (Hz) for continuous sweeps; ``sequence`` is the template whose
-    ``swept`` field varies along the curve.
+    frequency (Hz) for continuous sweeps; ``sequence`` is the template that
+    ``FilterRows.of(sequence, xs)`` sweeps along the curve.
     """
 
     abscissa_kind: AbscissaKind
@@ -73,7 +73,6 @@ class CoherenceCurve:
     coherences: np.ndarray
     uncertainties: np.ndarray
     sequence: SequenceSpec
-    swept: str
     provenance: Provenance
     metadata: dict = field(default_factory=dict, compare=False)
 
@@ -312,9 +311,7 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
     with np.errstate(over="ignore", invalid="ignore"):
         # reported below rather than warned about
         edges, comb, top = _first_edges(spectrum, filters)
-    if not np.all(np.isfinite(top)):
-        raise ValidationError("filter frequencies overflow: a duration or "
-                              "modulation frequency is out of range")
+    _finite_omegas(top)
     hi_used = top.copy()
     value, rel_err, tail = (np.empty(duration.size) for _ in range(3))
     nodes = np.zeros(duration.size, dtype=np.int64)
@@ -406,18 +403,19 @@ def filter_for(spec: SequenceSpec) -> FilterFunction:
 # synthetic curves
 # ---------------------------------------------------------------------------
 
-def _coherences(spectrum: NoiseSpectrum, specs: list, rel_tol: float):
-    """exp(-chi) at each sequence of ``specs`` (one curve: a pulsed family
-    at one n, or a carrier sweep at one duration), plus the curve's
+def _coherences(spectrum: NoiseSpectrum, template: SequenceSpec, xs,
+                rel_tol: float):
+    """exp(-chi) along the curve ``FilterRows.of(template, xs)``, plus its
     quadrature diagnostics: the worst achieved ``rel_err``, the size of
     the default filter grid whose nodes start the panels (the same at every
     point), the total node count and the last point's ``omega_max``.
 
     No filter table is built: the whole curve is integrated in one batch
     of ``FilterRows``, and each point equals
-    ``chi_detailed(spectrum, filter_for(spec), rel_tol)`` bit for bit.
+    ``chi_detailed(spectrum, filter_for(spec), rel_tol)`` bit for bit, for
+    ``spec`` the template at that point.
     """
-    filters = FilterRows.of(specs)
+    filters = FilterRows.of(template, xs)
     chis, info = _chi_rows(spectrum, filters, rel_tol)
     return np.array([math.exp(-c) for c in chis]), {
         "rel_tol": rel_tol, "omega_max": float(info["omega_max"][-1]),
@@ -474,13 +472,13 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
         times = np.sort(grids[n])
         if times.size == 0 or times[0] <= 0.0:
             raise ValidationError("time grids must be positive and non-empty")
-        cs, quad = _coherences(spectrum, [SequenceSpec.cpmg(n, duration=float(t))
-                                          for t in times], rel_tol)
+        # NaN sorts last, and the template rejects it
         template = SequenceSpec.cpmg(n, duration=float(times[-1]))
+        cs, quad = _coherences(spectrum, template, times, rel_tol)
         curves.append(CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME,
             xs=times, coherences=cs, uncertainties=np.zeros_like(times),
-            sequence=template, swept="duration",
+            sequence=template,
             provenance=Provenance("synthetic"),
             metadata={"sampling": sampling.value, **quad},
         ))
@@ -493,14 +491,15 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
     if template.family.pulsed:
         raise ValidationError("synth_dysco_sweep needs a continuous-family template")
     fs = np.sort(np.asarray(f_grid, dtype=float))
-    if fs.size == 0 or fs[0] <= 0.0:
-        raise ValidationError("frequency grid must be positive and non-empty")
-    cs, quad = _coherences(spectrum, [replace(template, mod_frequency=float(f0))
-                                      for f0 in fs], rel_tol)
+    if fs.size == 0:
+        raise ValidationError("frequency grid must be non-empty")
+    for f0 in (fs[0], fs[-1]):   # the checks are monotone; NaN sorts last
+        replace(template, mod_frequency=float(f0))
+    cs, quad = _coherences(spectrum, template, fs, rel_tol)
     return CoherenceCurve(
         abscissa_kind=AbscissaKind.MOD_FREQUENCY,
         xs=fs, coherences=cs, uncertainties=np.zeros_like(fs),
-        sequence=template, swept="mod_frequency",
+        sequence=template,
         provenance=Provenance("synthetic"),
         metadata=quad,
     )

@@ -132,6 +132,8 @@ class CpmgFilterProvider:
 _RESCALE_POINTS = 3
 # probe frequencies closer than this (relative) are one frequency
 _COINCIDENT = 1e-9
+# output bins, each one more edge that is allocated before binning
+_MAX_BINS = 10_000
 
 
 def _invert(c_res: np.ndarray, u_res: np.ndarray, scale):
@@ -167,12 +169,14 @@ def cpmg_sd(curves: list[CoherenceCurve],
         TIME-abscissa curves of CPMG/HAHN templates (mixed pulse counts are
         the intended input).
     bin_count : int or None
-        Number of log-spaced output bins; ``None`` or 0 returns raw points.
+        Number of log-spaced output bins, at most 10000; ``None`` or 0
+        returns raw points.
     """
     if not curves:
         raise ValidationError("cpmg_sd needs at least one curve")
-    if bin_count is not None and bin_count < 0:
-        raise ValidationError(f"bin_count must be >= 0, got {bin_count}")
+    if bin_count is not None and not 0 <= bin_count <= _MAX_BINS:
+        raise ValidationError(
+            f"bin_count must lie in [0, {_MAX_BINS}], got {bin_count}")
     columns = []        # (omega0, S0, sigma, flag, n, t) per curve
     for curve in curves:
         if curve.abscissa_kind is not AbscissaKind.TIME:

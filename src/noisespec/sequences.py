@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+_MAX_SAMPLES = 10_000_000   # samples in one trace
+
 
 class Family(str, Enum):
     """Supported modulation families.
@@ -48,9 +50,10 @@ class SequenceSpec:
     from ``duration``); continuous families use ``mod_frequency`` (Hz) and,
     for GDYSCO, ``envelope_sigma`` (s, default duration/6).  ``quant_steps``
     renders a continuous carrier as a zero-order hold with that many levels
-    per period (0 keeps it ideal).  ``amplitude`` is the peak sensitivity in
-    units of the pulsed +/-1 modulation; hardware contrast loss of a sinusoidal
-    drive (a factor of about 2/pi) can be modelled by lowering it.
+    per period (0 keeps it ideal).  ``amplitude`` is a carrier's peak
+    sensitivity in units of the pulsed +/-1 modulation; hardware contrast loss
+    of a sinusoidal drive (a factor of about 2/pi) can be modelled by lowering
+    it.  A pulse train always has unit amplitude.
     """
 
     family: Family
@@ -98,6 +101,7 @@ class SequenceSpec:
         object.__setattr__(self, "duration", float(dur))
         _require(self.quant_steps == 0, "quant_steps applies to continuous families only")
         _require(self.mod_frequency is None, "mod_frequency applies to continuous families only")
+        _require(self.amplitude == 1.0, "amplitude applies to continuous families only")
 
     def _init_continuous(self) -> None:
         _require(self.n_pulses is None and self.tau_free is None,
@@ -228,7 +232,8 @@ def build_trace(spec: SequenceSpec, sample_rate: float) -> SensitivityTrace:
     sample_rate : float
         Must oversample the fastest feature (pulse spacing or modulation
         period, including quantization steps) by at least the documented
-        margins; rejected otherwise.
+        margins, and give at most 10^7 samples; rejected otherwise, before
+        anything is allocated.
     """
     _require(0.0 < sample_rate < math.inf,
              "sample_rate must be positive and finite")
@@ -237,19 +242,28 @@ def build_trace(spec: SequenceSpec, sample_rate: float) -> SensitivityTrace:
     return _build_continuous(spec, sample_rate)
 
 
+def _sample_count(count: int) -> int:
+    """``count``, if a trace of that many samples is within the cap."""
+    _require(count <= _MAX_SAMPLES,
+             f"trace of {count:.3g} samples exceeds the cap of "
+             f"{_MAX_SAMPLES:.0e}; lower sample_rate")
+    return count
+
+
 def _build_pulsed(spec: SequenceSpec, rate: float) -> SensitivityTrace:
     n, tau = spec.n_pulses, spec.tau_free
     _require(rate >= 20.0 / (2.0 * tau),
              "sample_rate must be >= 20x the inter-pulse rate 1/(2 tau_free)")
-    per_half = max(int(math.ceil(tau * rate)), 10)
+    # clamped, so that ceil never meets an infinite product
+    per_half = max(math.ceil(min(tau * rate, _MAX_SAMPLES)), 10)
     dt = tau / per_half
-    total = 2 * n * per_half
+    total = _sample_count(2 * n * per_half)
     times = (np.arange(total) + 0.5) * dt
     # flips at odd multiples of tau; value is (-1)**(#flips before t)
     flips_before = ((np.arange(total) // per_half) + 1) // 2
-    values = np.where(flips_before % 2 == 0, 1.0, -1.0) * spec.amplitude
+    values = np.where(flips_before % 2 == 0, 1.0, -1.0)
     edges = np.concatenate(([0.0], (2 * np.arange(n) + 1) * tau, [2 * n * tau]))
-    seg_values = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0) * spec.amplitude
+    seg_values = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
     return SensitivityTrace(times, values, spec.duration, (edges, seg_values))
 
 
@@ -259,7 +273,7 @@ def _build_continuous(spec: SequenceSpec, rate: float) -> SensitivityTrace:
     if q:
         _require(rate >= 4.0 * q * f0,
                  "sample_rate must be >= 4x the quantization step rate")
-    count = max(int(round(dur * rate)), 2)
+    count = _sample_count(max(round(min(dur * rate, _MAX_SAMPLES + 1)), 2))
     dt = dur / count
     times = (np.arange(count) + 0.5) * dt
     if q:

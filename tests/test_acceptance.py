@@ -233,7 +233,6 @@ def _manual_sd_curve(xs: np.ndarray, cs: np.ndarray) -> CoherenceCurve:
         coherences=cs,
         uncertainties=np.zeros_like(cs),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
-        swept="duration",
         provenance=Provenance("synthetic"),
     )
 

@@ -58,7 +58,6 @@ def test_curve_roundtrip_preserves_arrays(tmp_path, small_curve):
     assert np.array_equal(loaded.coherences, small_curve.coherences)
     assert np.array_equal(loaded.uncertainties, small_curve.uncertainties)
     assert loaded.sequence == small_curve.sequence
-    assert loaded.swept == small_curve.swept
     assert loaded.abscissa_kind == small_curve.abscissa_kind
 
 
@@ -69,6 +68,20 @@ def test_curve_write_is_reproducible(tmp_path, small_curve):
     meta_a = (tmp_path / "a.meta.json").read_text()
     meta_b = (tmp_path / "b.meta.json").read_text()
     assert meta_a == meta_b
+
+
+def test_sidecar_with_the_old_abscissa_label_still_reads(tmp_path,
+                                                         small_curve):
+    # sidecars written before the label was dropped carry "swept"
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    meta_file = tmp_path / "c.meta.json"
+    meta = json.loads(meta_file.read_text())
+    assert "swept" not in meta
+    meta_file.write_text(json.dumps({**meta, "swept": "duration"}))
+    for loaded in (read_curve(path), ingest_curve(path, "time_csv")):
+        assert np.array_equal(loaded.xs, small_curve.xs)
+        assert np.array_equal(loaded.coherences, small_curve.coherences)
+        assert loaded.sequence == small_curve.sequence
 
 
 def test_read_curve_requires_sidecar(tmp_path, small_curve):
@@ -308,7 +321,7 @@ def test_cli_fit_comb_on_written_curve(tmp_path):
         abscissa_kind=AbscissaKind.TIME, xs=times, coherences=cs,
         uncertainties=np.zeros_like(times),
         sequence=SequenceSpec.hahn(tau_free=float(times[-1] / 2)),
-        swept="duration", provenance=Provenance("synthetic"))
+        provenance=Provenance("synthetic"))
     path = write_curve(curve, tmp_path / "comb.csv")
     rc = cli_main(["fit", "--mode", "comb", "--curves", str(path),
                    "--outdir", str(tmp_path)])
@@ -444,6 +457,27 @@ def test_cli_oversized_request_exits_3_without_a_traceback(tmp_path, args,
     assert run.returncode == 3
     assert "Traceback" not in run.stderr
     assert cap in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cpmg", "--n", "2", "--duration", "1e-320"],
+    ["--family", "hahn", "--duration", "1e-320"],
+    ["--family", "gdysco", "--duration", "1e-3", "--f0", "1e308"],
+], ids=["cpmg", "hahn", "gdysco"])
+def test_cli_ff_overflowing_frequencies_exit_3_in_one_line(tmp_path, argv):
+    # a subnormal duration or a huge carrier puts the filter's frequencies
+    # at inf: one error line, with no numpy warning before it
+    src = str(Path(noisespec.fitting.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "noisespec", "ff", *argv,
+         "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3
+    assert run.stderr.count("\n") == 1
+    assert run.stderr.startswith("error: filter frequencies overflow")
 
 
 def test_cli_help_states_the_size_caps(capsys):
@@ -696,15 +730,37 @@ def test_cli_pulse_count_in_a_sidecar_meets_the_cap(tmp_path, capsys,
     assert "cap of 1000" in _one_line_error(capsys)
 
 
+def test_cli_pulse_train_amplitude_in_a_sidecar_exits_3(tmp_path, capsys,
+                                                         small_curve):
+    # a pulse train's filter has unit amplitude, so another one is refused
+    # rather than read into the trace alone
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    meta_file = tmp_path / "c.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["sequence"]["amplitude"] = 0.5
+    meta_file.write_text(json.dumps(meta))
+    rc = cli_main(["reconstruct", "--mode", "sd", "--curves", str(path),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "amplitude" in _one_line_error(capsys)
+
+
 _ZERO_SYNTH = ["synth", "--spectrum", "zero", "--times", "1e-5:1e-4:3"]
 _REJECTED = {
     "reconstruct-bins": (["reconstruct", "--mode", "sd", "--bins", "-3",
                           "--curves", "CURVE"], "bin_count"),
     "roundtrip-bins": (["roundtrip", "--mode", "sd", "--rel-tol", "1e-3",
                         "--bins", "-3"], "bin_count"),
+    "reconstruct-bins-cap": (["reconstruct", "--mode", "sd", "--bins",
+                              "10001", "--curves", "CURVE"], "bin_count"),
+    "roundtrip-bins-cap": (["roundtrip", "--mode", "sd", "--rel-tol", "1e-3",
+                            "--bins", "10001"], "bin_count"),
     "oracle-rate": (["oracle", "--family", "hahn", "--tau", "1e-5",
                      "--n-realizations", "100", "--modes", "8",
                      "--sample-rate", "inf"], "sample_rate"),
+    "oracle-rate-cap": (["oracle", "--family", "hahn", "--tau", "1e-5",
+                         "--n-realizations", "100", "--modes", "8",
+                         "--sample-rate", "1e14"], "cap of 1e+07"),
     "peak-fit-omega": (["fit", "--mode", "peak", "--curves", "NAN_OMEGA"],
                        "finite"),
     **{f"epsilon={e}": ([*_ZERO_SYNTH, "--family", "cpmg", "--n-list", "2",
@@ -1008,7 +1064,7 @@ def test_fuzz_synth_numbers(tmp_path, epsilon, rel_tol, seed):
 
 
 @_FUZZ
-@given(bins=st.one_of(st.integers(-5, 10**6).map(str), _number(-1.0, 50.0)))
+@given(bins=st.one_of(st.integers(-5, 10**12).map(str), _number(-1.0, 50.0)))
 def test_fuzz_reconstruct_bins(tmp_path, small_curve, bins):
     tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
     write_curve(small_curve, tmp_path / "c.csv")
@@ -1017,11 +1073,11 @@ def test_fuzz_reconstruct_bins(tmp_path, small_curve, bins):
 
 
 @_FUZZ
-@given(rate=st.sampled_from(["inf", "-inf", "nan", "-1", "0", "1e3", "x"]),
+@given(rate=st.sampled_from(["inf", "-inf", "nan", "-1", "0", "1e3", "x",
+                             "1e14", "1e300"]),
        realizations=st.integers(-5, 200), modes=st.integers(-5, 16),
        rel_tol=_number(-1.0, 2.0))
 def test_fuzz_oracle_numbers(tmp_path, rate, realizations, modes, rel_tol):
-    # the rate stays off large finite values: the trace has no size cap
     tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
     _fuzz_cli(["oracle", "--spectrum", "zero", "--family", "hahn",
                "--tau", "1e-5", "--sample-rate", rate,

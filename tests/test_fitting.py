@@ -8,6 +8,7 @@ import pytest
 
 from noisespec import (
     FLAG_CLIPPED,
+    Family,
     Method,
     NumericError,
     ReconstructedSpectrum,
@@ -20,6 +21,7 @@ from noisespec import (
     fit_gaussian_peak,
     fit_noise_params,
     fit_revival_comb,
+    ingest_curve,
     synth_cpmg_family,
     synth_dysco_sweep,
 )
@@ -242,6 +244,32 @@ def test_noise_fit_operator_matches_chi_at_the_box_corners(bath):
             for t in times])
         got = kernel @ spectrum(grid)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-3, (center, sigma)
+
+
+@pytest.mark.parametrize("family", [Family.CPMG, Family.HAHN])
+def test_noise_fit_kernel_rows_are_each_points_filter(bath, tmp_path, family):
+    # row i of K is (t_i / 2) FF_i(grid) w, FF_i the filter of the curve's
+    # template at the point's duration, bit for bit; the Hahn curve is
+    # ingested from a bare table
+    times = np.geomspace(3e-5, 1.2e-3, 9)
+    if family is Family.CPMG:
+        (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n={8: times})
+    else:
+        path = tmp_path / "hahn.csv"
+        path.write_text("time_s,coherence\n" + "".join(
+            f"{t!r},{math.exp(-t / 1e-3)!r}\n" for t in times.tolist()))
+        curve = ingest_curve(path, "time_csv",
+                             SequenceSpec.hahn(float(times[-1]) / 2.0))
+    grid, kernel = _chi_operator(curve, (1e5, 1e6))
+    w = np.empty_like(grid)     # trapezoid weights
+    w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
+    w[0] = 0.5 * (grid[1] - grid[0])
+    w[-1] = 0.5 * (grid[-1] - grid[-2])
+    for row, t in zip(kernel, curve.xs):
+        spec = SequenceSpec(family, duration=float(t),
+                            n_pulses=curve.sequence.n_pulses)
+        ff = filter_for(spec).rows.values(grid, 0)
+        assert np.array_equal(row, 0.5 * t * ff * w)
 
 
 def test_noise_fit_fixed_point_at_truth(bath):

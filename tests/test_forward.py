@@ -118,7 +118,7 @@ def test_rows_that_extend_keep_their_bits_in_a_batch():
     # 1.5 kHz.  Each row equals its own chi_detailed bit for bit
     bath = lorentzian_dc(1e3, 0.5)
     specs = [SequenceSpec.dysco(1e-3, f) for f in (1.5e3, 1e3, 2e3)]
-    rows = FilterRows.of(specs)
+    rows = FilterRows.of(specs[0], [1.5e3, 1e3, 2e3])
     chis, info = _chi_rows(bath, rows, 1e-8)
     alone = [chi_detailed(bath, filter_for(spec), 1e-8) for spec in specs]
     cutoffs = np.maximum(rows.edges(np.arange(3))[:, -1], bath.extent())
@@ -180,14 +180,14 @@ _EDGE_BATHS = st.one_of(
 def test_first_edges_are_each_rows_own_union(bath, kind, n, log_t, log_f):
     t = np.sort(10.0 ** np.array(log_t))
     if kind == "cpmg":
-        filters = FilterRows.of([SequenceSpec.cpmg(n, duration=tk) for tk in t])
+        filters = FilterRows.of(SequenceSpec.cpmg(n, duration=float(t[0])), t)
     elif kind == "table":
         ff = cpmg_ff(n, float(t[0]))
         filters = FilterFunction(ff.omegas, ff.values, ff.duration).rows
     else:
         make = SequenceSpec.dysco if kind == "dysco" else SequenceSpec.gdysco
         f = np.sort(10.0 ** np.array(log_f)) / t[0]   # >= one period each
-        filters = FilterRows.of([make(float(t[0]), fk) for fk in f])
+        filters = FilterRows.of(make(float(t[0]), float(f[0])), f)
     edges, comb, top = _first_edges(bath, filters)
     ref_edges, ref_comb, ref_top = _per_row_edges(bath, filters)
     assert np.array_equal(comb, ref_comb) and np.array_equal(top, ref_top)
@@ -595,6 +595,23 @@ def test_dysco_sweep_rejects_pulsed_template(bath):
                           [1e4, 2e4])
 
 
+@pytest.mark.parametrize("f_grid, message", [
+    ([1e3, 1e5], "modulation period"),     # 1 kHz x 0.2 ms < one period
+    ([1e5, math.nan], None),
+    ([-1e5, 1e5], None),
+    ([], None),
+], ids=["below-one-period", "nan", "negative", "empty"])
+def test_dysco_sweep_checks_every_carrier(bath, f_grid, message):
+    template = SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5)
+    with pytest.raises(ValidationError, match=message):
+        synth_dysco_sweep(bath, template, f_grid)
+
+
+def test_cpmg_family_rejects_a_nan_duration(bath):
+    with pytest.raises(ValidationError):
+        synth_cpmg_family(bath, [2], time_grid_per_n={2: [1e-5, math.nan]})
+
+
 # --------------------------------------------------------------------------
 # Measurement noise
 
@@ -607,7 +624,6 @@ def _clean_curve(n_points: int = 32) -> CoherenceCurve:
         coherences=np.full(n_points, 0.5),
         uncertainties=np.zeros(n_points),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
-        swept="duration",
         provenance=Provenance("synthetic"),
     )
 
@@ -672,7 +688,7 @@ def test_curve_requires_increasing_abscissa():
         CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME, xs=xs,
             coherences=np.full(3, 0.5), uncertainties=np.zeros(3),
-            sequence=SequenceSpec.cpmg(2, duration=2e-5), swept="duration",
+            sequence=SequenceSpec.cpmg(2, duration=2e-5),
             provenance=Provenance("synthetic"))
 
 
@@ -683,7 +699,7 @@ def test_curve_rejects_non_finite_values():
         CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME, xs=xs,
             coherences=cs, uncertainties=np.zeros(3),
-            sequence=SequenceSpec.cpmg(2, duration=3e-5), swept="duration",
+            sequence=SequenceSpec.cpmg(2, duration=3e-5),
             provenance=Provenance("synthetic"))
 
 
@@ -693,5 +709,5 @@ def test_curve_rejects_negative_uncertainty():
         CoherenceCurve(
             abscissa_kind=AbscissaKind.TIME, xs=xs,
             coherences=np.full(3, 0.5), uncertainties=np.array([0.0, -0.1, 0.0]),
-            sequence=SequenceSpec.cpmg(2, duration=3e-5), swept="duration",
+            sequence=SequenceSpec.cpmg(2, duration=3e-5),
             provenance=Provenance("synthetic"))

@@ -289,7 +289,7 @@ def test_measurement_noise_draws_what_default_rng_draws(seed):
     curve = CoherenceCurve(
         abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=np.exp(-1e3 * xs),
         uncertainties=np.zeros_like(xs),
-        sequence=SequenceSpec.cpmg(2, duration=1e-3), swept="duration",
+        sequence=SequenceSpec.cpmg(2, duration=1e-3),
         provenance=Provenance("synthetic"))
     noisy = add_measurement_noise(curve, 0.03, seed)
     want = [c + np.random.default_rng([seed, i]).normal(0.0, 0.03)

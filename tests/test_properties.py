@@ -76,7 +76,6 @@ def _flat_curve(n_points: int = 8) -> CoherenceCurve:
         coherences=np.full(n_points, 0.5),
         uncertainties=np.zeros(n_points),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
-        swept="duration",
         provenance=Provenance("synthetic"),
     )
 

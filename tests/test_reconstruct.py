@@ -195,7 +195,7 @@ def test_sd_flags_unphysical_points():
         abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=cs,
         uncertainties=np.zeros(6),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
-        swept="duration", provenance=Provenance("synthetic"))
+        provenance=Provenance("synthetic"))
     recon = cpmg_sd([bad], bin_count=None)
     assert recon.metadata["n_clipped"] == 1
     clipped = recon.flags == FLAG_CLIPPED
@@ -255,7 +255,7 @@ def test_plateau_contrast_is_top_decile_median():
         abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
         uncertainties=np.zeros(20),
         sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
-        swept="mod_frequency", provenance=Provenance("synthetic"))
+        provenance=Provenance("synthetic"))
     assert plateau_contrast(curve) == pytest.approx(
         float(np.median(np.sort(cs)[-2:])), rel=1e-12)
 
@@ -267,7 +267,7 @@ def test_direct_extract_flags_out_of_range_points():
         abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
         uncertainties=np.full(3, 0.01),
         sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
-        swept="mod_frequency", provenance=Provenance("synthetic"))
+        provenance=Provenance("synthetic"))
     recon = direct_extract(curve, contrast=1.0)
     assert recon.flags[0] == FLAG_OK
     assert recon.flags[1] == FLAG_CLIPPED
@@ -289,7 +289,7 @@ def _sd_route(cs):
         abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=cs,
         uncertainties=np.full(cs.size, 0.01),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
-        swept="duration", provenance=Provenance("synthetic"))
+        provenance=Provenance("synthetic"))
     recon = cpmg_sd([curve], bin_count=None)
     return recon.flags[::-1], recon.values[::-1]    # omega0 falls as t grows
 
@@ -300,7 +300,7 @@ def _direct_route(cs):
         abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
         uncertainties=np.full(cs.size, 0.01),
         sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
-        swept="mod_frequency", provenance=Provenance("synthetic"))
+        provenance=Provenance("synthetic"))
     recon = direct_extract(curve, contrast=1.0)
     return recon.flags, recon.values
 

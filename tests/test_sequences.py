@@ -81,6 +81,17 @@ def test_amplitude_must_be_in_unit_interval():
         SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5, amplitude=0.0)
 
 
+@pytest.mark.parametrize("family, n", [(Family.CPMG, 8), (Family.HAHN, 1)])
+def test_pulse_train_has_unit_amplitude(family, n):
+    # its filter is the unit-amplitude closed form: a lower amplitude would
+    # scale the trace, and the Monte Carlo chi (by 1/4 at 0.5), but not
+    # the filter that the quadrature chi integrates
+    with pytest.raises(ValidationError, match="amplitude"):
+        SequenceSpec(family, duration=2e-5, n_pulses=n, amplitude=0.5)
+    assert SequenceSpec(family, duration=2e-5, n_pulses=n,
+                        amplitude=1.0).amplitude == 1.0
+
+
 def test_quantization_only_for_continuous_families():
     with pytest.raises(ValidationError):
         SequenceSpec(family=Family.CPMG, n_pulses=2, tau_free=1e-6,
@@ -207,6 +218,20 @@ def test_too_coarse_sample_rate_rejected():
 @pytest.mark.parametrize("rate", [math.inf, math.nan])
 def test_sample_rate_must_be_finite(spec, rate):
     with pytest.raises(ValidationError, match="sample_rate"):
+        build_trace(spec, sample_rate=rate)
+
+
+@pytest.mark.parametrize("spec, rate", [
+    (SequenceSpec.hahn(1e-5), 5.0000001e11),    # 2 x 5000001 samples
+    (SequenceSpec.hahn(1e-5), 1e14),
+    (SequenceSpec.hahn(1e-5), 1e300),
+    (SequenceSpec.hahn(1e300), 1e10),           # tau * rate is inf
+    (SequenceSpec.dysco(2e-4, 8e4), 5.1e10),
+    (SequenceSpec.dysco(1e300, 1.0), 1e10),
+], ids=["hahn-past-cap", "hahn-1e14", "hahn-1e300", "hahn-inf-count",
+        "dysco-past-cap", "dysco-inf-count"])
+def test_trace_size_is_capped_before_allocation(spec, rate):
+    with pytest.raises(ValidationError, match="cap of 1e\\+07"):
         build_trace(spec, sample_rate=rate)
 
 
