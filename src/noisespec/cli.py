@@ -26,9 +26,10 @@ from .filters import peak_stats
 from .forward import AbscissaKind, Sampling, add_measurement_noise, chi_detailed, \
     filter_for, synth_cpmg_family, synth_dysco_sweep
 from .noise import NoiseSpectrum, default_experiment_spectrum, tabulated
-from .oracle import McConfig, mc_coherence
+from .oracle import _OVERSAMPLE, McConfig, mc_coherence
 from .reconstruct import Method, ReconstructedSpectrum, cpmg_sd, direct_extract
-from .sequences import Family, SequenceSpec, bandwidth_report, build_trace
+from .sequences import Family, SequenceSpec, _min_sample_rate, \
+    bandwidth_report, build_trace
 from .study import peak_study, sd_study
 from . import fitting
 
@@ -85,29 +86,14 @@ def _add_sequence_args(p: argparse.ArgumentParser, required: bool = True) -> Non
 
 
 def _sequence_from_args(args) -> SequenceSpec:
-    family = Family(args.family)
-    if family is Family.CPMG:
-        if args.n is None:
-            raise ValidationError("cpmg needs --n")
+    # the spec derives what a family leaves out and rejects a flag it does
+    # not take
+    if args.n is not None:
         _check_pulses([args.n])
-        return SequenceSpec.cpmg(args.n, tau_free=args.tau,
-                                 duration=args.duration)
-    if family is Family.HAHN:
-        if args.tau is not None:
-            return SequenceSpec.hahn(args.tau)
-        if args.duration is not None:
-            return SequenceSpec.hahn(args.duration / 2.0)
-        raise ValidationError("hahn needs --tau or --duration")
-    if args.duration is None or args.f0 is None:
-        raise ValidationError(f"{family.value} needs --duration and --f0")
-    if family is Family.DYSCO:
-        return SequenceSpec.dysco(args.duration, args.f0,
-                                  quant_steps=args.quant_steps,
-                                  amplitude=args.amplitude)
-    return SequenceSpec.gdysco(args.duration, args.f0,
-                               envelope_sigma=args.sigma,
-                               quant_steps=args.quant_steps,
-                               amplitude=args.amplitude)
+    return SequenceSpec(Family(args.family), duration=args.duration,
+                        n_pulses=args.n, tau_free=args.tau,
+                        mod_frequency=args.f0, envelope_sigma=args.sigma,
+                        quant_steps=args.quant_steps, amplitude=args.amplitude)
 
 
 def _load_spectrum(token: str) -> NoiseSpectrum:
@@ -266,15 +252,9 @@ def _cmd_synth(args) -> int:
 
 
 def _oracle_sample_rate(spec: SequenceSpec, extent: float) -> float:
-    if spec.family.pulsed:
-        floor = 20.0 / (2.0 * spec.tau_free)
-    else:
-        floor = 20.0 * spec.mod_frequency
-        if spec.quant_steps:
-            floor = max(floor, 4.0 * spec.quant_steps * spec.mod_frequency)
-    # McConfig's default band, 2 pi rate / 10, then covers the extent
-    mc_floor = 10.0 * extent / _TWO_PI
-    return 1.05 * max(floor, mc_floor)
+    # McConfig's default band, 2 pi rate / _OVERSAMPLE, then covers the extent
+    mc_floor = _OVERSAMPLE * extent / _TWO_PI
+    return 1.05 * max(_min_sample_rate(spec), mc_floor)
 
 
 def _cmd_oracle(args) -> int:

@@ -114,7 +114,8 @@ def write_curve(curve: CoherenceCurve, path: str | Path) -> Path:
 
 def read_curve(path: str | Path) -> CoherenceCurve:
     """Read back a curve written by :func:`write_curve` (sidecar required);
-    sidecar keys it does not read, as in older files, are ignored."""
+    sidecar keys it does not read, as in older files, are ignored, and an
+    ``abscissa_kind`` that contradicts the sequence is an error."""
     path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():
@@ -130,12 +131,21 @@ def read_curve(path: str | Path) -> CoherenceCurve:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
     xs, cs, us, _ = _read_rows(path, kind, drop_bad=False)
-    return CoherenceCurve(
-        abscissa_kind=kind,
+    return _matching(CoherenceCurve(
         xs=xs, coherences=cs, uncertainties=us,
         sequence=sequence, provenance=provenance,
         metadata=metadata,
-    )
+    ), kind, f"{meta_file}: abscissa_kind {kind.value!r}")
+
+
+def _matching(curve: CoherenceCurve, kind: AbscissaKind,
+              what: str) -> CoherenceCurve:
+    """``curve``, if its template runs over the ``kind`` that ``what`` names."""
+    if curve.abscissa_kind is not kind:
+        raise ValidationError(
+            f"{what} contradicts the {curve.sequence.family.value} sequence, "
+            f"whose abscissa is {curve.abscissa_kind.value}")
+    return curve
 
 
 def _csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -197,7 +207,9 @@ def ingest_curve(path: str | Path, schema: CurveSchema | str,
     missing columns, a non-monotone abscissa, and an empty table are errors.
     The uncertainty column is optional (defaults to zero).  If a sidecar
     written by :func:`write_curve` sits next to the file its sequence is
-    used; otherwise ``sequence`` is required.  Points whose coherence
+    used; otherwise ``sequence`` is required.  The schema must name the
+    sequence's abscissa: ``time_csv`` for a pulse train, ``freq_csv`` for a
+    carrier.  Points whose coherence
     exceeds 1 by more than three uncertainties are kept but listed in
     ``metadata['suspect_rows']``.
     """
@@ -215,19 +227,21 @@ def ingest_curve(path: str | Path, schema: CurveSchema | str,
         raise ValidationError(
             "ingest needs a SequenceSpec (no sidecar found next to the file)")
     xs, cs, us, dropped = _read_rows(path, kind, drop_bad=True)
-    if dropped:
-        warnings.warn(f"{path}: dropped non-finite rows at lines {dropped}",
-                      stacklevel=2)
     suspect = np.flatnonzero(cs > 1.0 + 3.0 * us)
     meta: dict = {"dropped_lines": dropped}
     if suspect.size:
         meta["suspect_rows"] = suspect.tolist()
-    return CoherenceCurve(
-        abscissa_kind=kind, xs=xs, coherences=cs, uncertainties=us,
+    curve = _matching(CoherenceCurve(
+        xs=xs, coherences=cs, uncertainties=us,
         sequence=sequence,
         provenance=Provenance("ingested", path=str(path)),
         metadata=meta,
-    )
+    ), kind, f"schema {schema.value!r}")
+    # only a table that is taken, so that a refusal stays one line
+    if dropped:
+        warnings.warn(f"{path}: dropped non-finite rows at lines {dropped}",
+                      stacklevel=2)
+    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -473,18 +473,25 @@ def _integrate_between(x: np.ndarray, y: np.ndarray, a: float, b: float) -> floa
 def _parabolic_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
     x0, x1, x2 = x[i - 1], x[i], x[i + 1]
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
-    if denom == 0.0:
-        return float(x1), float(y1)
-    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
-    b = (x2 * x2 * (y0 - y1) + x1 * x1 * (y2 - y0) + x0 * x0 * (y1 - y2)) / denom
-    if a >= 0.0:
-        return float(x1), float(y1)
-    xv = -b / (2.0 * a)
-    if not (x0 < xv < x2):
-        return float(x1), float(y1)
-    c = y1 - a * x1 * x1 - b * x1
-    return float(xv), float(a * xv * xv + b * xv + c)
+    node = float(x1), float(y1)
+    # near the top of the float range the products overflow; the grid node
+    # then stands in for a vertex that cannot be computed
+    with np.errstate(all="ignore"):
+        denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
+        if denom == 0.0 or not math.isfinite(denom):
+            return node
+        a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
+        b = (x2 * x2 * (y0 - y1) + x1 * x1 * (y2 - y0) + x0 * x0 * (y1 - y2)) / denom
+        if not (math.isfinite(a) and math.isfinite(b)) or a >= 0.0:
+            return node
+        xv = -b / (2.0 * a)
+        if not (x0 < xv < x2):
+            return node
+        c = y1 - a * x1 * x1 - b * x1
+        yv = a * xv * xv + b * xv + c
+    if not math.isfinite(yv):
+        return node
+    return float(xv), float(yv)
 
 
 def _halfmax_crossing(x: np.ndarray, y: np.ndarray, i_peak: int, half: float,

@@ -160,8 +160,6 @@ def fit_noise_params(curve: CoherenceCurve,
     missing = [k for k in _NOISE_PARAM_ORDER if k not in initial]
     if missing:
         raise ValidationError(f"initial guess missing {missing}")
-    if not curve.sequence.family.pulsed:
-        raise ValidationError("noise-model fit expects a pulse-train curve")
     if max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
     x0 = np.array([float(initial[k]) for k in _NOISE_PARAM_ORDER])

@@ -63,12 +63,12 @@ class Provenance:
 class CoherenceCurve:
     """Coherence along the abscissa of one sequence template.
 
-    ``xs`` is total evolution time (s) for pulsed families or modulation
-    frequency (Hz) for continuous sweeps; ``sequence`` is the template that
-    ``FilterRows.of(sequence, xs)`` sweeps along the curve.
+    ``sequence`` is the template that ``FilterRows.of(sequence, xs)`` sweeps
+    along the curve, and it alone fixes what ``xs`` holds: total evolution
+    time (s) for a pulsed family, modulation frequency (Hz) for a continuous
+    one, as :attr:`abscissa_kind` reports.
     """
 
-    abscissa_kind: AbscissaKind
     xs: np.ndarray
     coherences: np.ndarray
     uncertainties: np.ndarray
@@ -92,6 +92,11 @@ class CoherenceCurve:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "coherences", cs)
         object.__setattr__(self, "uncertainties", us)
+
+    @property
+    def abscissa_kind(self) -> AbscissaKind:
+        return AbscissaKind.TIME if self.sequence.family.pulsed \
+            else AbscissaKind.MOD_FREQUENCY
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +439,7 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
     ----------
     spectrum : NoiseSpectrum
     n_list : sequence of int
-        Pulse counts, one output curve per entry.
+        Distinct pulse counts, one output curve per entry.
     time_grid_per_n : mapping or sequence, optional
         Total evolution times per pulse count (dict keyed by n or a list
         parallel to ``n_list``).  Required for DENSE sampling.
@@ -447,6 +452,8 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise ValidationError("pulse counts must be positive integers")
+    if len(set(n_list)) != len(n_list):
+        raise ValidationError(f"pulse counts must be distinct, got {n_list}")
     if sampling is Sampling.REVIVALS_ONLY:
         centers = [c.omega_center for c in spectrum.components
                    if c.kind is ComponentKind.GAUSSIAN_PEAK]
@@ -462,11 +469,12 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
     else:
         if time_grid_per_n is None:
             raise ValidationError("dense sampling needs time_grid_per_n")
-        if isinstance(time_grid_per_n, dict):
-            grids = {n: np.asarray(time_grid_per_n[n], dtype=float) for n in n_list}
-        else:
-            grids = {n: np.asarray(g, dtype=float)
-                     for n, g in zip(n_list, time_grid_per_n)}
+        if not isinstance(time_grid_per_n, dict):
+            time_grid_per_n = dict(zip(n_list, time_grid_per_n))
+        missing = [n for n in n_list if n not in time_grid_per_n]
+        if missing:
+            raise ValidationError(f"no time grid for pulse counts {missing}")
+        grids = {n: np.asarray(time_grid_per_n[n], dtype=float) for n in n_list}
     curves = []
     for n in n_list:
         times = np.sort(grids[n])
@@ -476,7 +484,6 @@ def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
         template = SequenceSpec.cpmg(n, duration=float(times[-1]))
         cs, quad = _coherences(spectrum, template, times, rel_tol)
         curves.append(CoherenceCurve(
-            abscissa_kind=AbscissaKind.TIME,
             xs=times, coherences=cs, uncertainties=np.zeros_like(times),
             sequence=template,
             provenance=Provenance("synthetic"),
@@ -497,7 +504,6 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
         replace(template, mod_frequency=float(f0))
     cs, quad = _coherences(spectrum, template, fs, rel_tol)
     return CoherenceCurve(
-        abscissa_kind=AbscissaKind.MOD_FREQUENCY,
         xs=fs, coherences=cs, uncertainties=np.zeros_like(fs),
         sequence=template,
         provenance=Provenance("synthetic"),

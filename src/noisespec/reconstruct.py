@@ -181,8 +181,6 @@ def cpmg_sd(curves: list[CoherenceCurve],
     for curve in curves:
         if curve.abscissa_kind is not AbscissaKind.TIME:
             raise ValidationError("cpmg_sd needs TIME-abscissa curves")
-        if not curve.sequence.family.pulsed:
-            raise ValidationError("cpmg_sd needs pulsed-family curves")
         n = curve.sequence.n_pulses
         z0, _, area, _ = _main_lobe(n)
         ref = float(np.mean(curve.coherences[:_RESCALE_POINTS]))
@@ -300,8 +298,6 @@ def direct_extract(curve: CoherenceCurve,
     if curve.abscissa_kind is not AbscissaKind.MOD_FREQUENCY:
         raise ValidationError("direct_extract needs a MOD_FREQUENCY sweep")
     template = curve.sequence
-    if template.family.pulsed:
-        raise ValidationError("direct_extract applies to continuous families")
     a = plateau_contrast(curve) if contrast is None else float(contrast)
     if a <= 0.0:
         raise ValidationError("sweep contrast must be positive")

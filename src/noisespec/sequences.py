@@ -102,6 +102,7 @@ class SequenceSpec:
         _require(self.quant_steps == 0, "quant_steps applies to continuous families only")
         _require(self.mod_frequency is None, "mod_frequency applies to continuous families only")
         _require(self.amplitude == 1.0, "amplitude applies to continuous families only")
+        _require(self.envelope_sigma is None, "envelope_sigma applies to GDYSCO only")
 
     def _init_continuous(self) -> None:
         _require(self.n_pulses is None and self.tau_free is None,
@@ -237,9 +238,26 @@ def build_trace(spec: SequenceSpec, sample_rate: float) -> SensitivityTrace:
     """
     _require(0.0 < sample_rate < math.inf,
              "sample_rate must be positive and finite")
+    floor = _min_sample_rate(spec)
+    _require(sample_rate >= floor,
+             f"sample_rate must be >= {floor:.6g} Hz for this sequence "
+             "(10 samples per free interval, 20 per carrier period, 4 per "
+             "quantization step)")
     if spec.family.pulsed:
         return _build_pulsed(spec, sample_rate)
     return _build_continuous(spec, sample_rate)
+
+
+def _min_sample_rate(spec: SequenceSpec) -> float:
+    """The lowest sample rate (Hz) that :func:`build_trace` takes for
+    ``spec``: 10 samples per free interval of a pulse train, 20 per carrier
+    period, and 4 per quantization step."""
+    if spec.family.pulsed:
+        return 20.0 / (2.0 * spec.tau_free)
+    floor = 20.0 * spec.mod_frequency
+    if spec.quant_steps:
+        floor = max(floor, 4.0 * spec.quant_steps * spec.mod_frequency)
+    return floor
 
 
 def _sample_count(count: int) -> int:
@@ -252,8 +270,6 @@ def _sample_count(count: int) -> int:
 
 def _build_pulsed(spec: SequenceSpec, rate: float) -> SensitivityTrace:
     n, tau = spec.n_pulses, spec.tau_free
-    _require(rate >= 20.0 / (2.0 * tau),
-             "sample_rate must be >= 20x the inter-pulse rate 1/(2 tau_free)")
     # clamped, so that ceil never meets an infinite product
     per_half = max(math.ceil(min(tau * rate, _MAX_SAMPLES)), 10)
     dt = tau / per_half
@@ -269,10 +285,6 @@ def _build_pulsed(spec: SequenceSpec, rate: float) -> SensitivityTrace:
 
 def _build_continuous(spec: SequenceSpec, rate: float) -> SensitivityTrace:
     f0, dur, q = spec.mod_frequency, spec.duration, spec.quant_steps
-    _require(rate >= 20.0 * f0, "sample_rate must be >= 20x mod_frequency")
-    if q:
-        _require(rate >= 4.0 * q * f0,
-                 "sample_rate must be >= 4x the quantization step rate")
     count = _sample_count(max(round(min(dur * rate, _MAX_SAMPLES + 1)), 2))
     dt = dur / count
     times = (np.arange(count) + 0.5) * dt

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from noisespec import (
-    AbscissaKind,
     CoherenceCurve,
     CpmgFilterProvider,
     McConfig,
@@ -228,7 +227,6 @@ def test_criterion_10_noise_model_fit_recovery(capsys):
 
 def _manual_sd_curve(xs: np.ndarray, cs: np.ndarray) -> CoherenceCurve:
     return CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME,
         xs=xs,
         coherences=cs,
         uncertainties=np.zeros_like(cs),

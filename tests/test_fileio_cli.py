@@ -165,6 +165,42 @@ def test_ingest_needs_sequence_without_sidecar(tmp_path):
         ingest_curve(path, "time_csv")
 
 
+@pytest.mark.parametrize("schema, header, sequence", [
+    ("freq_csv", "frequency_hz", SequenceSpec.cpmg(2, duration=3e-5)),
+    ("time_csv", "time_s", SequenceSpec.dysco(2e-4, 1e5)),
+], ids=["freq-cpmg", "time-dysco"])
+def test_ingest_schema_must_match_the_sequence(tmp_path, schema, header,
+                                               sequence):
+    # a pulse train runs over time, a carrier over modulation frequency
+    path = _raw_csv(tmp_path, f"{header},coherence,uncertainty\n"
+                              "1e4,0.9,0.01\n2e4,0.8,0.01\n")
+    with pytest.raises(ValidationError, match=f"schema '{schema}'"):
+        ingest_curve(path, schema, sequence=sequence)
+
+
+def test_ingest_refusal_warns_nothing_about_dropped_rows(tmp_path):
+    path = _raw_csv(tmp_path, "frequency_hz,coherence,uncertainty\n"
+                              "1e4,0.9,0.01\n2e4,nan,0.01\n3e4,0.8,0.01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="contradicts"):
+            ingest_curve(path, "freq_csv",
+                         sequence=SequenceSpec.cpmg(2, duration=1e-4))
+
+
+def test_read_curve_rejects_a_kind_its_sequence_contradicts(tmp_path,
+                                                            small_curve):
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    (tmp_path / "c.csv").write_text(
+        (tmp_path / "c.csv").read_text().replace("time_s", "frequency_hz"))
+    meta_file = tmp_path / "c.meta.json"
+    meta = json.loads(meta_file.read_text())
+    meta["abscissa_kind"] = "mod_frequency"
+    meta_file.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="cpmg sequence"):
+        read_curve(path)
+
+
 # --------------------------------------------------------------------------
 # Reconstruction and model round trips
 
@@ -316,9 +352,9 @@ def test_cli_fit_comb_on_written_curve(tmp_path):
     comb = np.exp(-(times[:, None] - centers[None, :]) ** 2
                   / (2.0 * 2.4e-6 ** 2)).sum(axis=1)
     cs = np.exp(-np.power(times / 8e-5, 1.3)) * comb
-    from noisespec import AbscissaKind, CoherenceCurve, Provenance
+    from noisespec import CoherenceCurve, Provenance
     curve = CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME, xs=times, coherences=cs,
+        xs=times, coherences=cs,
         uncertainties=np.zeros_like(times),
         sequence=SequenceSpec.hahn(tau_free=float(times[-1] / 2)),
         provenance=Provenance("synthetic"))
@@ -776,6 +812,46 @@ _REJECTED = {
                     "one pulse"),
     "hahn-n": ([*_ZERO_SYNTH, "--family", "hahn", "--n", "3"], "one pulse"),
 }
+
+
+# a sequence flag that the family does not take; the spec names it
+_FOREIGN_FLAGS = {
+    "cpmg-amplitude": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                        "--amplitude", "0.5"], "amplitude"),
+    "cpmg-f0": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                 "--f0", "5e4"], "mod_frequency"),
+    "cpmg-quant-steps": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                          "--quant-steps", "4"], "quant_steps"),
+    "cpmg-sigma": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                    "--sigma", "1e-5"], "envelope_sigma"),
+    "dysco-sigma": (["--family", "dysco", "--duration", "2e-4", "--f0", "6e4",
+                     "--sigma", "1e-5"], "envelope_sigma"),
+    "dysco-n": (["--family", "dysco", "--duration", "2e-4", "--f0", "6e4",
+                 "--n", "3"], "pulse parameters"),
+    "hahn-n": (["--family", "hahn", "--n", "4", "--duration", "1e-4"],
+               "one pulse"),
+    "hahn-tau-and-duration": (["--family", "hahn", "--tau", "1e-5",
+                               "--duration", "1e-4"], "2 * n_pulses"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_FLAGS))
+def test_cli_ff_rejects_a_flag_its_family_does_not_take(tmp_path, capsys,
+                                                        case):
+    argv, message = _FOREIGN_FLAGS[case]
+    out = tmp_path / "out"
+    assert cli_main(["ff", *argv, "--outdir", str(out)]) == 3
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_cli_synth_rejects_a_repeated_pulse_count(tmp_path, capsys):
+    # both curves would be written to synth_cpmg_n2.csv
+    rc = cli_main([*_ZERO_SYNTH, "--family", "cpmg", "--n-list", "2,2",
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "distinct" in _one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("case", sorted(_REJECTED))

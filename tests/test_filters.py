@@ -1,6 +1,7 @@
 """Filter functions: analytic forms, numeric transforms, peak statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,16 @@ def test_peak_stats_rejects_edge_peaks():
     ff = numeric_ff(trace, np.geomspace(0.05 * base, 40.0 * base, 500))
     with pytest.raises(ValidationError):
         peak_stats(ff)
+
+
+def test_peak_stats_at_the_top_of_the_float_range_warns_nothing():
+    # the parabola through the peak's nodes overflows at f0 = 1e300; the
+    # grid node then stands in for the vertex, with no numpy warning
+    ff = dysco_ff(SequenceSpec.dysco(1e-300, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = peak_stats(ff)
+    assert math.isfinite(stats.f0) and stats.f0 > 0.0
 
 
 def test_filter_grid_needs_enough_points():

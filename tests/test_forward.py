@@ -612,6 +612,32 @@ def test_cpmg_family_rejects_a_nan_duration(bath):
         synth_cpmg_family(bath, [2], time_grid_per_n={2: [1e-5, math.nan]})
 
 
+@pytest.mark.parametrize("grids", [{1: [1e-5, 2e-5]}, [[1e-5, 2e-5]]],
+                         ids=["dict", "list"])
+def test_cpmg_family_names_a_pulse_count_without_a_time_grid(bath, grids):
+    with pytest.raises(ValidationError, match=r"pulse counts \[2\]"):
+        synth_cpmg_family(bath, [1, 2], time_grid_per_n=grids)
+
+
+def test_cpmg_family_rejects_a_repeated_pulse_count(bath):
+    # each count names one output curve, so a repeat would overwrite it
+    with pytest.raises(ValidationError, match="distinct"):
+        synth_cpmg_family(bath, [2, 2], time_grid_per_n={2: [1e-5, 2e-5]})
+
+
+def test_curve_abscissa_kind_follows_its_template():
+    xs = np.array([5e4, 1e5, 2e5])
+    for sequence, kind in (
+            (SequenceSpec.cpmg(2, duration=2e-4), AbscissaKind.TIME),
+            (SequenceSpec.hahn(1e-4), AbscissaKind.TIME),
+            (SequenceSpec.dysco(2e-4, 1e5), AbscissaKind.MOD_FREQUENCY),
+            (SequenceSpec.gdysco(2e-4, 1e5), AbscissaKind.MOD_FREQUENCY)):
+        curve = CoherenceCurve(xs=xs, coherences=np.full(3, 0.5),
+                               uncertainties=np.zeros(3), sequence=sequence,
+                               provenance=Provenance("synthetic"))
+        assert curve.abscissa_kind is kind
+
+
 # --------------------------------------------------------------------------
 # Measurement noise
 
@@ -619,7 +645,6 @@ def test_cpmg_family_rejects_a_nan_duration(bath):
 def _clean_curve(n_points: int = 32) -> CoherenceCurve:
     xs = np.linspace(1e-5, 1e-3, n_points)
     return CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME,
         xs=xs,
         coherences=np.full(n_points, 0.5),
         uncertainties=np.zeros(n_points),
@@ -686,7 +711,7 @@ def test_curve_requires_increasing_abscissa():
     xs = np.array([1e-5, 1e-5, 2e-5])
     with pytest.raises(ValidationError):
         CoherenceCurve(
-            abscissa_kind=AbscissaKind.TIME, xs=xs,
+            xs=xs,
             coherences=np.full(3, 0.5), uncertainties=np.zeros(3),
             sequence=SequenceSpec.cpmg(2, duration=2e-5),
             provenance=Provenance("synthetic"))
@@ -697,7 +722,7 @@ def test_curve_rejects_non_finite_values():
     cs = np.array([0.9, math.nan, 0.7])
     with pytest.raises(ValidationError):
         CoherenceCurve(
-            abscissa_kind=AbscissaKind.TIME, xs=xs,
+            xs=xs,
             coherences=cs, uncertainties=np.zeros(3),
             sequence=SequenceSpec.cpmg(2, duration=3e-5),
             provenance=Provenance("synthetic"))
@@ -707,7 +732,7 @@ def test_curve_rejects_negative_uncertainty():
     xs = np.array([1e-5, 2e-5, 3e-5])
     with pytest.raises(ValidationError):
         CoherenceCurve(
-            abscissa_kind=AbscissaKind.TIME, xs=xs,
+            xs=xs,
             coherences=np.full(3, 0.5), uncertainties=np.array([0.0, -0.1, 0.0]),
             sequence=SequenceSpec.cpmg(2, duration=3e-5),
             provenance=Provenance("synthetic"))

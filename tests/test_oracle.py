@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import j0
 
 from noisespec import (
-    AbscissaKind,
     CoherenceCurve,
     McConfig,
     Provenance,
@@ -287,7 +286,7 @@ def test_streams_draw_what_default_rng_draws(seed):
 def test_measurement_noise_draws_what_default_rng_draws(seed):
     xs = np.linspace(1e-5, 1e-3, 37)
     curve = CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=np.exp(-1e3 * xs),
+        xs=xs, coherences=np.exp(-1e3 * xs),
         uncertainties=np.zeros_like(xs),
         sequence=SequenceSpec.cpmg(2, duration=1e-3),
         provenance=Provenance("synthetic"))

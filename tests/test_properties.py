@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from noisespec import (
-    AbscissaKind,
     CoherenceCurve,
     CpmgFilterProvider,
     Provenance,
@@ -71,7 +70,6 @@ def test_scaled_spectrum_is_pointwise_multiple(delta, sigma, factor):
 def _flat_curve(n_points: int = 8) -> CoherenceCurve:
     xs = np.linspace(1e-5, 1e-3, n_points)
     return CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME,
         xs=xs,
         coherences=np.full(n_points, 0.5),
         uncertainties=np.zeros(n_points),

@@ -9,7 +9,6 @@ import pytest
 from noisespec import (
     FLAG_CLIPPED,
     FLAG_OK,
-    AbscissaKind,
     CoherenceCurve,
     CpmgFilterProvider,
     Method,
@@ -192,7 +191,7 @@ def test_sd_flags_unphysical_points():
     xs = np.geomspace(5e-5, 5e-4, 6)
     cs = np.array([0.9, 0.9, 0.9, 0.7, 0.5, -0.02])
     bad = CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=cs,
+        xs=xs, coherences=cs,
         uncertainties=np.zeros(6),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
         provenance=Provenance("synthetic"))
@@ -252,7 +251,7 @@ def test_plateau_contrast_is_top_decile_median():
     xs = np.linspace(1e4, 1e5, 20)
     cs = np.linspace(0.2, 0.99, 20)
     curve = CoherenceCurve(
-        abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
+        xs=xs, coherences=cs,
         uncertainties=np.zeros(20),
         sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
         provenance=Provenance("synthetic"))
@@ -264,7 +263,7 @@ def test_direct_extract_flags_out_of_range_points():
     xs = np.array([5e4, 1e5, 2e5])
     cs = np.array([0.9, 1.2, -0.01])
     curve = CoherenceCurve(
-        abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
+        xs=xs, coherences=cs,
         uncertainties=np.full(3, 0.01),
         sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
         provenance=Provenance("synthetic"))
@@ -286,7 +285,7 @@ def _sd_route(cs):
     # the plateau head of three 1.0 points makes the rescale reference 1.0
     xs = np.geomspace(5e-5, 5e-4, cs.size)
     curve = CoherenceCurve(
-        abscissa_kind=AbscissaKind.TIME, xs=xs, coherences=cs,
+        xs=xs, coherences=cs,
         uncertainties=np.full(cs.size, 0.01),
         sequence=SequenceSpec.cpmg(2, duration=float(xs[-1])),
         provenance=Provenance("synthetic"))
@@ -297,7 +296,7 @@ def _sd_route(cs):
 def _direct_route(cs):
     xs = np.linspace(5e4, 2e5, cs.size)
     curve = CoherenceCurve(
-        abscissa_kind=AbscissaKind.MOD_FREQUENCY, xs=xs, coherences=cs,
+        xs=xs, coherences=cs,
         uncertainties=np.full(cs.size, 0.01),
         sequence=SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5),
         provenance=Provenance("synthetic"))
