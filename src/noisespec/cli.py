@@ -23,9 +23,10 @@ import numpy as np
 from . import fileio
 from .errors import NumericError, ValidationError
 from .filters import peak_stats
-from .forward import AbscissaKind, Sampling, add_measurement_noise, chi_detailed, \
-    filter_for, synth_cpmg_family, synth_dysco_sweep
-from .noise import NoiseSpectrum, default_experiment_spectrum, tabulated
+from .forward import AbscissaKind, add_measurement_noise, chi_detailed, \
+    filter_for, synth_curve
+from .noise import ComponentKind, NoiseSpectrum, default_experiment_spectrum, \
+    tabulated
 from .oracle import _OVERSAMPLE, McConfig, mc_coherence
 from .reconstruct import Method, ReconstructedSpectrum, cpmg_sd, direct_extract
 from .sequences import Family, SequenceSpec, _min_sample_rate, \
@@ -85,15 +86,16 @@ def _add_sequence_args(p: argparse.ArgumentParser, required: bool = True) -> Non
     p.add_argument("--amplitude", type=float, default=1.0)
 
 
-def _sequence_from_args(args) -> SequenceSpec:
+def _sequence_from_args(args, **fields) -> SequenceSpec:
     # the spec derives what a family leaves out and rejects a flag it does
-    # not take
-    if args.n is not None:
-        _check_pulses([args.n])
-    return SequenceSpec(Family(args.family), duration=args.duration,
-                        n_pulses=args.n, tau_free=args.tau,
-                        mod_frequency=args.f0, envelope_sigma=args.sigma,
-                        quant_steps=args.quant_steps, amplitude=args.amplitude)
+    # not take; ``fields`` override the flags
+    fields = {"duration": args.duration, "n_pulses": args.n,
+              "tau_free": args.tau, "mod_frequency": args.f0,
+              "envelope_sigma": args.sigma, "quant_steps": args.quant_steps,
+              "amplitude": args.amplitude, **fields}
+    if fields["n_pulses"] is not None:
+        _check_pulses([fields["n_pulses"]])
+    return SequenceSpec(Family(args.family), **fields)
 
 
 def _load_spectrum(token: str) -> NoiseSpectrum:
@@ -127,6 +129,22 @@ def _parse_grid(token: str, geometric: bool) -> np.ndarray:
         raise ValidationError(
             f"grid count {count} exceeds the cap of {_MAX_GRID_POINTS} points")
     return np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
+
+
+def _revival_grid(spectrum: NoiseSpectrum, n: int, orders) -> np.ndarray:
+    """Total times 2 n k (2 pi / omega_line), at which each free interval of
+    an n-pulse train holds k periods of the spectrum's (highest) Gaussian
+    line, for k in ``orders`` (default 1..10)."""
+    centers = [c.omega_center for c in spectrum.components
+               if c.kind is ComponentKind.GAUSSIAN_PEAK]
+    if not centers:
+        raise ValidationError(
+            "revival sampling needs a spectrum with a Gaussian line")
+    period = _TWO_PI / max(centers)
+    ks = np.asarray(orders or np.arange(1, 11), dtype=float)
+    if np.any(ks < 1):
+        raise ValidationError("revival orders must be >= 1")
+    return 2.0 * n * ks * period
 
 
 def _parse_ints(token: str, flag: str) -> list[int]:
@@ -207,48 +225,63 @@ def _cmd_bandwidth(args) -> int:
     return _finish(args, [path], prefix=prefix)
 
 
+def _refuse(args, flags: str, why: str) -> None:
+    """Refuse the first of the space-separated ``flags`` that is set."""
+    for flag in flags.split():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            raise ValidationError(f"synth {flag} {why}")
+
+
 def _cmd_synth(args) -> int:
     spectrum = _load_spectrum(args.spectrum)
-    out = _outdir(args)
-    prefix = args.out or "synth"
     family = Family(args.family)
-    outputs: list[Path] = []
-    if family in (Family.CPMG, Family.HAHN):
+    prefix = f"{args.out or 'synth'}_{family.value}"
+    # (file name, template, abscissa) per curve; the flags set each template
+    # but the field that its grid sets
+    if family.pulsed:
+        _refuse(args, "--f-grid --duration --tau",
+                "does not apply to a pulse train, whose curve sweeps its duration")
+        if args.n_list:
+            _refuse(args, "--n", "conflicts with --n-list")
         n_list = _parse_ints(args.n_list, "--n-list") \
             if args.n_list else [1 if args.n is None else args.n]
         _check_pulses(n_list)
-        if family is Family.HAHN and any(n != 1 for n in n_list):
-            raise ValidationError("HAHN means exactly one pulse")
+        if len(set(n_list)) != len(n_list):
+            raise ValidationError(f"pulse counts must be distinct, got {n_list}")
         if args.revivals:
+            _refuse(args, "--times", "conflicts with --revivals")
             orders = _parse_ints(args.orders, "--orders") if args.orders else None
-            curves = synth_cpmg_family(spectrum, n_list,
-                                       sampling=Sampling.REVIVALS_ONLY,
-                                       revival_orders=orders,
-                                       rel_tol=args.rel_tol)
+            grids = [_revival_grid(spectrum, n, orders) for n in n_list]
         else:
+            _refuse(args, "--orders", "needs --revivals")
             if not args.times:
                 raise ValidationError("synth needs --times or --revivals")
-            grid = _parse_grid(args.times, geometric=True)
-            curves = synth_cpmg_family(spectrum, n_list,
-                                       time_grid_per_n={n: grid for n in n_list},
-                                       rel_tol=args.rel_tol)
-        names = [f"{prefix}_{family.value}_n{n}.csv" for n in n_list]
+            grids = [_parse_grid(args.times, geometric=True)] * len(n_list)
+        curves = [(f"{prefix}_n{n}.csv",
+                   _sequence_from_args(args, n_pulses=n,
+                                       duration=float(xs.max())), xs)
+                  for n, xs in zip(n_list, grids)]
     else:
+        _refuse(args, "--times --n-list --revivals --orders",
+                "applies to pulse trains only")
         if not args.f_grid:
             raise ValidationError("continuous synth needs --f-grid (Hz)")
-        f_grid = _parse_grid(args.f_grid, geometric=False)
+        xs = _parse_grid(args.f_grid, geometric=False)
         if args.f0 is None:
-            args.f0 = float(f_grid[0])   # the template's; the grid sweeps it
-        spec = _sequence_from_args(args)
-        curves = [synth_dysco_sweep(spectrum, spec, f_grid,
-                                    rel_tol=args.rel_tol)]
-        names = [f"{prefix}_{family.value}.csv"]
-    for i, (curve, name) in enumerate(zip(curves, names)):
+            # the template's, and so the manifest's; the grid sweeps it
+            args.f0 = float(xs[0])
+        curves = [(f"{prefix}.csv", _sequence_from_args(args), xs)]
+    curves = [(name, synth_curve(spectrum, template, xs, rel_tol=args.rel_tol))
+              for name, template, xs in curves]
+    out = _outdir(args)
+    outputs: list[Path] = []
+    for i, (name, curve) in enumerate(curves):
         if args.epsilon != 0.0:
             curve = add_measurement_noise(curve, args.epsilon,
                                           args.seed + i)
         outputs.append(_emit(fileio.write_curve(curve, out / name)))
-    return _finish(args, outputs, prefix=f"{prefix}_{family.value}")
+    return _finish(args, outputs, prefix=prefix)
 
 
 def _oracle_sample_rate(spec: SequenceSpec, extent: float) -> float:

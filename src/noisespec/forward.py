@@ -12,8 +12,9 @@ and an envelope tail check extends the cutoff until the tail is within
 ``rel_tol`` of chi, or rejects a table that would truncate significant
 weight (``_chi_rows``).  Every sequence has one filter (``filter_for``).
 One core integrates many rows at once: ``chi_detailed`` is a batch of one
-(``FilterFunction.rows``), and curve synthesis integrates a whole curve in
-one pass, each point bit for bit as it would be alone.
+(``FilterFunction.rows``), and ``synth_curve``, the synthesis path of every
+family, integrates a whole curve in one pass, each point bit for bit as it
+would be alone.
 """
 
 from __future__ import annotations
@@ -27,21 +28,14 @@ import numpy as np
 from .errors import CoverageError, NumericError, ValidationError
 from .filters import _EDGE_STRIDE, FilterFunction, FilterRows, _TableRow, \
     _finite_omegas, cpmg_ff, dysco_ff
-from .noise import ComponentKind, NoiseSpectrum
+from .noise import NoiseSpectrum
 from .oracle import _stream_words, _streams
 from .sequences import SequenceSpec
-
-_TWO_PI = 2.0 * math.pi
 
 
 class AbscissaKind(str, Enum):
     TIME = "time"
     MOD_FREQUENCY = "mod_frequency"
-
-
-class Sampling(str, Enum):
-    DENSE = "dense"
-    REVIVALS_ONLY = "revivals_only"
 
 
 @dataclass(frozen=True)
@@ -408,107 +402,73 @@ def filter_for(spec: SequenceSpec) -> FilterFunction:
 # synthetic curves
 # ---------------------------------------------------------------------------
 
-def _coherences(spectrum: NoiseSpectrum, template: SequenceSpec, xs,
-                rel_tol: float):
-    """exp(-chi) along the curve ``FilterRows.of(template, xs)``, plus its
-    quadrature diagnostics: the worst achieved ``rel_err``, the size of
-    the default filter grid whose nodes start the panels (the same at every
-    point), the total node count and the last point's ``omega_max``.
-
-    No filter table is built: the whole curve is integrated in one batch
-    of ``FilterRows``, and each point equals
-    ``chi_detailed(spectrum, filter_for(spec), rel_tol)`` bit for bit, for
-    ``spec`` the template at that point.
+def synth_curve(spectrum: NoiseSpectrum, template: SequenceSpec, xs,
+                rel_tol: float = 1e-4) -> CoherenceCurve:
+    """Noise-free coherence exp(-chi) along one template: point x is the
+    template at duration x (s) for a pulse train, or at carrier frequency x
+    (Hz) for a continuous family.  ``xs`` is sorted, and the template is
+    checked at its ends, as the sequence checks are monotone (NaN sorts
+    last).  The curve is integrated in one batch of
+    ``FilterRows.of(template, xs)``, no filter table built, and each point
+    equals ``chi_detailed(spectrum, filter_for(spec), rel_tol)`` bit for
+    bit, for ``spec`` the template at that point.  The metadata holds the
+    quadrature diagnostics: ``rel_tol``, the worst ``rel_err_max``, the
+    size ``ff_grid_max`` of the default filter grid whose nodes start the
+    panels (the same at every point), the total ``quad_nodes`` and the
+    last point's ``omega_max``.
     """
+    xs = np.sort(np.asarray(xs, dtype=float))
+    if xs.size == 0:
+        raise ValidationError("a curve needs at least one point")
+    for x in (float(xs[0]), float(xs[-1])):
+        if template.family.pulsed:
+            replace(template, duration=x, tau_free=None)
+        else:
+            replace(template, mod_frequency=x)
     filters = FilterRows.of(template, xs)
     chis, info = _chi_rows(spectrum, filters, rel_tol)
-    return np.array([math.exp(-c) for c in chis]), {
-        "rel_tol": rel_tol, "omega_max": float(info["omega_max"][-1]),
-        "rel_err_max": float(np.max(info["rel_err"])),
-        "ff_grid_max": filters.grid(0).size,
-        "quad_nodes": int(np.sum(info["nodes"]))}
+    return CoherenceCurve(
+        xs=xs, coherences=np.array([math.exp(-c) for c in chis]),
+        uncertainties=np.zeros_like(xs), sequence=template,
+        provenance=Provenance("synthetic"),
+        metadata={"rel_tol": rel_tol,
+                  "omega_max": float(info["omega_max"][-1]),
+                  "rel_err_max": float(np.max(info["rel_err"])),
+                  "ff_grid_max": filters.grid(0).size,
+                  "quad_nodes": int(np.sum(info["nodes"]))})
 
 
-def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n=None,
-                      sampling: Sampling = Sampling.DENSE,
-                      revival_orders=None, rel_tol: float = 1e-4,
-                      ) -> list[CoherenceCurve]:
-    """Noise-free coherence curves C(t) for a family of pulse trains.
-
-    Parameters
-    ----------
-    spectrum : NoiseSpectrum
-    n_list : sequence of int
-        Distinct pulse counts, one output curve per entry.
-    time_grid_per_n : mapping or sequence, optional
-        Total evolution times per pulse count (dict keyed by n or a list
-        parallel to ``n_list``).  Required for DENSE sampling.
-    sampling : Sampling
-        REVIVALS_ONLY places points only where the free interval is an
-        integer number of periods of the spectrum's Gaussian line, which
-        needs ``revival_orders`` (default 1..10) instead of a time grid.
-    """
-    sampling = Sampling(sampling)
+def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n,
+                      rel_tol: float = 1e-4) -> list[CoherenceCurve]:
+    """``synth_curve`` of one CPMG train per distinct pulse count, at its
+    longest time, over its total times in ``time_grid_per_n`` (a dict keyed
+    by n or a list parallel to ``n_list``)."""
     n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise ValidationError("pulse counts must be positive integers")
     if len(set(n_list)) != len(n_list):
         raise ValidationError(f"pulse counts must be distinct, got {n_list}")
-    if sampling is Sampling.REVIVALS_ONLY:
-        centers = [c.omega_center for c in spectrum.components
-                   if c.kind is ComponentKind.GAUSSIAN_PEAK]
-        if not centers:
-            raise ValidationError(
-                "revival sampling needs a spectrum with a Gaussian line")
-        period = _TWO_PI / max(centers)
-        orders = np.asarray(revival_orders if revival_orders is not None
-                            else np.arange(1, 11), dtype=float)
-        if np.any(orders < 1):
-            raise ValidationError("revival orders must be >= 1")
-        grids = {n: 2.0 * n * orders * period for n in n_list}
-    else:
-        if time_grid_per_n is None:
-            raise ValidationError("dense sampling needs time_grid_per_n")
-        if not isinstance(time_grid_per_n, dict):
-            time_grid_per_n = dict(zip(n_list, time_grid_per_n))
-        missing = [n for n in n_list if n not in time_grid_per_n]
-        if missing:
-            raise ValidationError(f"no time grid for pulse counts {missing}")
-        grids = {n: np.asarray(time_grid_per_n[n], dtype=float) for n in n_list}
+    if not isinstance(time_grid_per_n, dict):
+        time_grid_per_n = dict(zip(n_list, time_grid_per_n))
+    missing = [n for n in n_list if n not in time_grid_per_n]
+    if missing:
+        raise ValidationError(f"no time grid for pulse counts {missing}")
     curves = []
     for n in n_list:
-        times = np.sort(grids[n])
-        if times.size == 0 or times[0] <= 0.0:
-            raise ValidationError("time grids must be positive and non-empty")
+        times = np.sort(np.asarray(time_grid_per_n[n], dtype=float))
+        if times.size == 0:
+            raise ValidationError("time grids must be non-empty")
         # NaN sorts last, and the template rejects it
         template = SequenceSpec.cpmg(n, duration=float(times[-1]))
-        cs, quad = _coherences(spectrum, template, times, rel_tol)
-        curves.append(CoherenceCurve(
-            xs=times, coherences=cs, uncertainties=np.zeros_like(times),
-            sequence=template,
-            provenance=Provenance("synthetic"),
-            metadata={"sampling": sampling.value, **quad},
-        ))
+        curves.append(synth_curve(spectrum, template, times, rel_tol))
     return curves
 
 
 def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
                       f_grid, rel_tol: float = 1e-4) -> CoherenceCurve:
-    """Noise-free coherence versus modulation frequency at fixed duration."""
+    """``synth_curve`` of a continuous carrier over ``f_grid`` (Hz), at the
+    template's duration."""
     if template.family.pulsed:
         raise ValidationError("synth_dysco_sweep needs a continuous-family template")
-    fs = np.sort(np.asarray(f_grid, dtype=float))
-    if fs.size == 0:
-        raise ValidationError("frequency grid must be non-empty")
-    for f0 in (fs[0], fs[-1]):   # the checks are monotone; NaN sorts last
-        replace(template, mod_frequency=float(f0))
-    cs, quad = _coherences(spectrum, template, fs, rel_tol)
-    return CoherenceCurve(
-        xs=fs, coherences=cs, uncertainties=np.zeros_like(fs),
-        sequence=template,
-        provenance=Provenance("synthetic"),
-        metadata=quad,
-    )
+    return synth_curve(spectrum, template, f_grid, rel_tol)
 
 
 def add_measurement_noise(curve: CoherenceCurve, epsilon: float,

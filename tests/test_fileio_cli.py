@@ -811,38 +811,87 @@ _REJECTED = {
     "hahn-n-list": ([*_ZERO_SYNTH, "--family", "hahn", "--n-list", "1,2"],
                     "one pulse"),
     "hahn-n": ([*_ZERO_SYNTH, "--family", "hahn", "--n", "3"], "one pulse"),
+    "revivals-without-a-line": (["synth", "--spectrum", "zero", "--family",
+                                 "cpmg", "--revivals"], "Gaussian line"),
+    "revival-order-0": (["synth", "--family", "cpmg", "--revivals",
+                         "--orders", "1,0"], "orders must be >= 1"),
 }
 
 
 # a sequence flag that the family does not take; the spec names it
 _FOREIGN_FLAGS = {
-    "cpmg-amplitude": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                        "--amplitude", "0.5"], "amplitude"),
-    "cpmg-f0": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                 "--f0", "5e4"], "mod_frequency"),
-    "cpmg-quant-steps": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                          "--quant-steps", "4"], "quant_steps"),
-    "cpmg-sigma": (["--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                    "--sigma", "1e-5"], "envelope_sigma"),
-    "dysco-sigma": (["--family", "dysco", "--duration", "2e-4", "--f0", "6e4",
-                     "--sigma", "1e-5"], "envelope_sigma"),
-    "dysco-n": (["--family", "dysco", "--duration", "2e-4", "--f0", "6e4",
-                 "--n", "3"], "pulse parameters"),
-    "hahn-n": (["--family", "hahn", "--n", "4", "--duration", "1e-4"],
-               "one pulse"),
-    "hahn-tau-and-duration": (["--family", "hahn", "--tau", "1e-5",
-                               "--duration", "1e-4"], "2 * n_pulses"),
+    "cpmg-amplitude": ("cpmg", ["--amplitude", "0.5"], "amplitude"),
+    "cpmg-f0": ("cpmg", ["--f0", "5e4"], "mod_frequency"),
+    "cpmg-quant-steps": ("cpmg", ["--quant-steps", "4"], "quant_steps"),
+    "cpmg-sigma": ("cpmg", ["--sigma", "1e-5"], "envelope_sigma"),
+    "dysco-sigma": ("dysco", ["--sigma", "1e-5"], "envelope_sigma"),
+    "dysco-n": ("dysco", ["--n", "3"], "pulse parameters"),
+    "hahn-n": ("hahn", ["--n", "4"], "one pulse"),
+    "hahn-tau-and-duration": ("hahn", ["--tau", "1e-5"], "2 * n_pulses"),
 }
+_FF_SEQUENCES = {"cpmg": ["--n", "2", "--duration", "1e-4"],
+                 "hahn": ["--duration", "1e-4"],
+                 "dysco": ["--duration", "2e-4", "--f0", "6e4"]}
 
 
 @pytest.mark.parametrize("case", sorted(_FOREIGN_FLAGS))
 def test_cli_ff_rejects_a_flag_its_family_does_not_take(tmp_path, capsys,
                                                         case):
-    argv, message = _FOREIGN_FLAGS[case]
+    family, flags, message = _FOREIGN_FLAGS[case]
     out = tmp_path / "out"
-    assert cli_main(["ff", *argv, "--outdir", str(out)]) == 3
+    assert cli_main(["ff", "--family", family, *_FF_SEQUENCES[family],
+                     *flags, "--outdir", str(out)]) == 3
     assert message in _one_line_error(capsys)
     assert not out.exists()
+
+
+_SYNTH_CURVES = {"cpmg": ["--n-list", "2", "--times", "3e-5:3e-4:3"],
+                 "dysco": ["--duration", "2e-4", "--f-grid", "3e4:1.2e5:3"]}
+# flags that synth once dropped: a pulse train's foreign sequence flags, the
+# fields its time grid sets, and the grid flags of the other family kind
+_SYNTH_DROPPED = {
+    **{case: _FOREIGN_FLAGS[case] for case in _FOREIGN_FLAGS
+       if _FOREIGN_FLAGS[case][0] == "cpmg"},
+    "cpmg-duration": ("cpmg", ["--duration", "5"], "--duration does not"),
+    "cpmg-tau": ("cpmg", ["--tau", "7"], "--tau does not"),
+    "cpmg-f-grid": ("cpmg", ["--f-grid", "3e4:1.2e5:3"], "--f-grid does not"),
+    "cpmg-times-and-revivals": ("cpmg", ["--revivals"], "--times conflicts"),
+    "cpmg-orders-alone": ("cpmg", ["--orders", "1,2"], "--orders needs"),
+    "cpmg-n-and-n-list": ("cpmg", ["--n", "2"], "--n conflicts"),
+    **{f"dysco-{flag}": ("dysco", [f"--{flag}", *value],
+                         f"--{flag} applies to pulse trains only")
+       for flag, value in (("times", ["3e-5:3e-4:3"]), ("n-list", ["2"]),
+                           ("revivals", []), ("orders", ["1,2"]))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SYNTH_DROPPED))
+def test_cli_synth_refuses_a_flag_it_would_drop(tmp_path, capsys, case):
+    family, flags, message = _SYNTH_DROPPED[case]
+    out = tmp_path / "out"
+    assert cli_main(["synth", "--family", family, *_SYNTH_CURVES[family],
+                     *flags, "--outdir", str(out)]) == 3
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_cli_synth_hahn_curve_keeps_its_family(tmp_path):
+    assert cli_main(["synth", "--spectrum", "zero", "--family", "hahn",
+                     "--times", "1e-5:1e-4:3", "--outdir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "synth_hahn_n1.meta.json").read_text())
+    assert meta["sequence"] == {"family": "hahn", "duration": 1e-4,
+                                "n_pulses": 1, "tau_free": 5e-5}
+
+
+def test_cli_synth_revivals_land_on_line_periods(tmp_path):
+    # orders in any order; the default bath's line sits at 392e3 rad/s
+    assert cli_main(["synth", "--family", "cpmg", "--n-list", "2",
+                     "--revivals", "--orders", "3,1,2", "--rel-tol", "1e-3",
+                     "--outdir", str(tmp_path)]) == 0
+    curve = read_curve(tmp_path / "synth_cpmg_n2.csv")
+    period = 2.0 * math.pi / 392e3
+    assert np.allclose(curve.xs, 4.0 * np.arange(1, 4) * period, rtol=1e-12)
+    assert curve.sequence == SequenceSpec.cpmg(2, duration=curve.xs[-1])
 
 
 def test_cli_synth_rejects_a_repeated_pulse_count(tmp_path, capsys):

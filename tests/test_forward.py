@@ -16,7 +16,6 @@ from noisespec import (
     Family,
     FilterFunction,
     Provenance,
-    Sampling,
     SequenceSpec,
     ValidationError,
     add_measurement_noise,
@@ -34,6 +33,7 @@ from noisespec import (
     numeric_ff,
     peak_stats,
     synth_cpmg_family,
+    synth_curve,
     synth_dysco_sweep,
     tabulated,
     write_curve,
@@ -513,15 +513,6 @@ def test_more_pulses_slow_the_decay():
     assert c32.coherences[0] > c1.coherences[0]
 
 
-def test_revival_sampling_lands_on_line_periods(bath):
-    orders = np.arange(1, 6)
-    (curve,) = synth_cpmg_family(bath, [2], sampling=Sampling.REVIVALS_ONLY,
-                                 revival_orders=orders)
-    period = 2.0 * math.pi / 392e3
-    assert np.allclose(curve.xs, 4.0 * orders * period, rtol=1e-12)
-    assert curve.metadata["sampling"] == "revivals_only"
-
-
 def test_coherence_revives_at_full_line_periods(bath):
     period = 2.0 * math.pi / 392e3
     t_rev, t_half = 4.0 * period, 2.0 * period
@@ -553,32 +544,24 @@ def test_curves_carry_quadrature_diagnostics(tmp_path, bath):
     assert {"rel_err_max", "ff_grid_max", "quad_nodes"} <= set(sidecar)
 
 
-@pytest.mark.parametrize("family", ["cpmg", "dysco", "gdysco"])
+@pytest.mark.parametrize("family", ["cpmg", "hahn", "dysco", "gdysco"])
 def test_curve_points_equal_their_filters_alone(bath, family):
-    if family == "cpmg":
+    if Family(family).pulsed:
+        n = 8 if family == "cpmg" else 1
         xs = np.geomspace(1e-5, 3e-3, 9)
-        (curve,) = synth_cpmg_family(bath, [8], time_grid_per_n=[xs])
-        ffs = [filter_for(SequenceSpec.cpmg(8, duration=t)) for t in xs]
+        template = SequenceSpec(family, duration=3e-3, n_pulses=n)
+        specs = [SequenceSpec(family, duration=t, n_pulses=n) for t in xs]
     else:
-        template = getattr(SequenceSpec, family)(2e-4, 1e5)
         xs = np.linspace(3e4, 1.2e5, 9)
-        curve = synth_dysco_sweep(bath, template, xs)
-        ffs = [filter_for(replace(template, mod_frequency=f)) for f in xs]
-    alone = [chi_detailed(bath, ff) for ff in ffs]
+        template = getattr(SequenceSpec, family)(2e-4, 1e5)
+        specs = [replace(template, mod_frequency=f) for f in xs]
+    curve = synth_curve(bath, template, xs[::-1])
+    assert np.array_equal(curve.xs, xs)
+    assert curve.sequence == template
+    alone = [chi_detailed(bath, filter_for(spec)) for spec in specs]
     assert np.array_equal(curve.coherences,
                           [math.exp(-value) for value, _ in alone])
     assert curve.metadata["quad_nodes"] == sum(i["nodes"] for _, i in alone)
-
-
-def test_revival_sampling_needs_a_line():
-    with pytest.raises(ValidationError):
-        synth_cpmg_family(lorentzian_dc(1e5, 5e4), [2],
-                          sampling=Sampling.REVIVALS_ONLY)
-
-
-def test_dense_sampling_needs_time_grids(bath):
-    with pytest.raises(ValidationError):
-        synth_cpmg_family(bath, [2])
 
 
 def test_dysco_sweep_decays_on_the_line(bath):
@@ -605,6 +588,14 @@ def test_dysco_sweep_checks_every_carrier(bath, f_grid, message):
     template = SequenceSpec.dysco(duration=2e-4, mod_frequency=1e5)
     with pytest.raises(ValidationError, match=message):
         synth_dysco_sweep(bath, template, f_grid)
+
+
+@pytest.mark.parametrize("xs", [[-1e-5, 1e-4], [1e-5, math.nan]],
+                         ids=["negative", "nan"])
+def test_pulse_train_curve_checks_its_template_at_both_ends(bath, xs):
+    # the template itself is valid; the train at the curve's end is not
+    with pytest.raises(ValidationError, match="tau_free"):
+        synth_curve(bath, SequenceSpec.cpmg(2, duration=1e-4), xs)
 
 
 def test_cpmg_family_rejects_a_nan_duration(bath):
