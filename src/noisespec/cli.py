@@ -141,7 +141,10 @@ def _revival_grid(spectrum: NoiseSpectrum, n: int, orders) -> np.ndarray:
         raise ValidationError(
             "revival sampling needs a spectrum with a Gaussian line")
     period = _TWO_PI / max(centers)
-    ks = np.asarray(orders or np.arange(1, 11), dtype=float)
+    try:
+        ks = np.asarray(orders or np.arange(1, 11), dtype=float)
+    except OverflowError:
+        raise ValidationError("revival orders overflow a float") from None
     if np.any(ks < 1):
         raise ValidationError("revival orders must be >= 1")
     return 2.0 * n * ks * period

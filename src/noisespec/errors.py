@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 ValidationError covers rejected inputs and broken preconditions; NumericError
-covers failures of the numerical machinery itself (non-convergent quadrature,
-insufficient grid coverage).  The CLI maps them to distinct exit codes.
+covers failures of the numerical machinery itself (a quadrature that does
+not converge).  The CLI maps them to distinct exit codes.
 """
 
 
@@ -12,7 +12,3 @@ class ValidationError(ValueError):
 
 class NumericError(RuntimeError):
     """A numerical routine could not reach its accuracy contract."""
-
-
-class CoverageError(NumericError):
-    """A tabulated grid does not cover where the integrand is significant."""

@@ -33,23 +33,22 @@ _EDGE_STRIDE = 32   # grid nodes per first quadrature panel
 
 @dataclass(frozen=True)
 class FilterFunction:
-    """Tabulated FF(omega) and the one evaluator ``rows`` that ``chi``
-    integrates.
+    """Tabulated FF(omega) and, for a closed form, the evaluator ``rows``
+    that ``chi`` integrates.
 
     ``omegas`` are angular frequencies (rad/s, strictly increasing, > 0);
     ``values`` carry units of seconds.  The table serves display and
     :func:`peak_stats`; ``chi`` reads ``rows`` alone.  An analytic filter's
-    ``rows`` is its closed form as a one-row :class:`FilterRows`; a table
-    built without ``rows`` gets a :class:`_TableRow`, which interpolates it
-    linearly (zero outside the grid) and bounds FF past the grid by the
-    1/omega^2 envelope of its last nodes.
+    ``rows`` is its closed form as a one-row :class:`FilterRows`.  A table
+    built without ``rows`` (:func:`numeric_ff`) is evaluated by linear
+    interpolation, zero outside its grid, and ``chi`` refuses it: it has
+    no evaluator past its grid.
     """
 
     omegas: np.ndarray
     values: np.ndarray
     duration: float
-    rows: "FilterRows | _TableRow | None" = field(default=None, repr=False,
-                                                  compare=False)
+    rows: "FilterRows | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.omegas.ndim != 1 or self.omegas.shape != self.values.shape:
@@ -60,13 +59,12 @@ class FilterFunction:
             raise ValidationError("omegas must be strictly increasing and positive")
         if np.any(self.values < 0.0) or not np.all(np.isfinite(self.values)):
             raise ValidationError("FF values must be finite and non-negative")
-        if self.rows is None or isinstance(self.rows, _TableRow):
-            # a table's row reads its own values, also after ``replace``
-            object.__setattr__(self, "rows", _TableRow(self.omegas, self.values,
-                                                       self.duration))
 
     def evaluate(self, omega: np.ndarray | float) -> np.ndarray:
-        return self.rows.values(np.asarray(omega, dtype=float), 0)
+        w = np.asarray(omega, dtype=float)
+        if self.rows is None:
+            return np.interp(w, self.omegas, self.values, left=0.0, right=0.0)
+        return self.rows.values(w, 0)
 
     def total_area(self) -> float:
         return float(np.trapezoid(self.values, self.omegas))
@@ -87,30 +85,6 @@ def _finite_omegas(w: np.ndarray) -> np.ndarray:
 def _grid_edges(grids: np.ndarray) -> np.ndarray:
     """Every 32nd node of each grid (last axis) and its last."""
     return np.concatenate([grids[..., ::_EDGE_STRIDE], grids[..., -1:]], -1)
-
-
-class _TableRow:
-    """A tabulated filter as a batch of one row, in ``FilterRows``' terms:
-    linear interpolation, zero outside the grid, and no comb.  Its envelope
-    past the grid is 4x the mean of omega^2 FF over the last 8 nodes,
-    over omega^2; ``chi`` integrates it only up to its last node."""
-
-    def __init__(self, omegas: np.ndarray, values: np.ndarray, duration: float):
-        self.omegas, self.table = omegas, values
-        self.durations = np.array([duration])
-        self.tail = float(np.mean(values[-8:] * omegas[-8:] ** 2)) * 4.0
-
-    def edges(self, rows) -> np.ndarray:
-        return _grid_edges(self.omegas)[None]
-
-    def values(self, w: np.ndarray, rows) -> np.ndarray:
-        return np.interp(w, self.omegas, self.table, left=0.0, right=0.0)
-
-    def envelope(self, w: np.ndarray, rows) -> np.ndarray:
-        return _inverse_square(self.tail, w)
-
-    def comb_start(self, hi: np.ndarray, rows) -> np.ndarray:
-        return np.full(np.shape(hi), np.inf)
 
 
 @dataclass(frozen=True)

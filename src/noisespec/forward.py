@@ -2,15 +2,16 @@
 
 chi(t) = (t/2) * integral_0^inf S(omega) FF(omega) d omega, C = exp(-chi).
 The quadrature is adaptive Gauss-Kronrod G7/K15 and reads a filter only
-through its evaluator (``filters.FilterRows``, or a table's row).  Its
-first panels end at every 32nd node of the filter's default grid or table
-(from 0 for a carrier), at the spectrum's refinement points and on a
-geometric run past the grid, and are bisected until the summed |K15 - G7|
-is below tolerance.  Past the grid and the spectrum's lines a pulse comb's
-narrow lobes enter as the comb's exact period mean (4n + 2) / (pi t w^2),
-and an envelope tail check extends the cutoff until the tail is within
-``rel_tol`` of chi, or rejects a table that would truncate significant
-weight (``_chi_rows``).  Every sequence has one filter (``filter_for``).
+through its closed-form evaluator (``filters.FilterRows``).  Its first
+panels end at every 32nd node of the filter's default grid (from 0 for a
+carrier), at the spectrum's refinement points and on a geometric run past
+the grid, and are bisected until the summed |K15 - G7| is below
+tolerance.  Past the grid and the spectrum's lines a pulse comb's narrow
+lobes enter as the comb's exact period mean (4n + 2) / (pi t w^2), and an
+envelope tail check extends the cutoff until the tail is within
+``rel_tol`` of chi (``_chi_rows``).  ``chi`` refuses a filter built from
+arrays alone, which has no evaluator past its grid.  Every sequence has
+one filter (``filter_for``).
 One core integrates many rows at once: ``chi_detailed`` is a batch of one
 (``FilterFunction.rows``), and ``synth_curve``, the synthesis path of every
 family, integrates a whole curve in one pass, each point bit for bit as it
@@ -25,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CoverageError, NumericError, ValidationError
-from .filters import _EDGE_STRIDE, FilterFunction, FilterRows, _TableRow, \
+from .errors import NumericError, ValidationError
+from .filters import _EDGE_STRIDE, FilterFunction, FilterRows, \
     _finite_omegas, cpmg_ff, dysco_ff
 from .noise import NoiseSpectrum
 from .oracle import _stream_words, _streams
@@ -114,6 +115,7 @@ _GK_WK = np.array(_WK + _WK[-2::-1])
 _GK_WG = np.array(_WG + _WG[-2::-1])
 _GK_BLOCK = 512           # panels per evaluation block
 _LOBE_PANEL_Z = 4.0 * math.pi   # widest panel (in omega * t) across a comb
+_MAX_LOBE_PANELS = 10 ** 7      # lobe panels of a batch, past its grids
 
 
 def _gk_panels(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
@@ -234,6 +236,21 @@ def _linspaces(a: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
     return nodes
 
 
+def _lobe_panels(a: np.ndarray, b: np.ndarray,
+                 duration: np.ndarray) -> np.ndarray:
+    """The lobe panel counts ceil((b - a) t / 4 pi) across each row's comb
+    from ``a`` to ``b``, if their sum is at most ``_MAX_LOBE_PANELS``: a
+    cap on each row alone would let a long curve ask for 10^4 times it."""
+    k = np.ceil((b - a) * duration / _LOBE_PANEL_Z)
+    total = float(np.sum(k))
+    if not total <= _MAX_LOBE_PANELS:
+        raise ValidationError(
+            f"pulse combs need {total:.3g} lobe panels past their filter "
+            f"grids, above the cap of {_MAX_LOBE_PANELS:.0e}: a duration is "
+            "out of range")
+    return k.astype(np.int64)
+
+
 def _first_edges(spectrum: NoiseSpectrum, filters):
     """Each row's first panel edges (a list of ascending arrays), its comb
     start and its first cutoff, as ``_chi_rows`` describes them.
@@ -247,11 +264,11 @@ def _first_edges(spectrum: NoiseSpectrum, filters):
     dropped, so every row's edges are those of ``np.unique`` over its own
     parts, bit for bit.
     """
-    duration, table = filters.durations, isinstance(filters, _TableRow)
+    duration = filters.durations
     ids = np.arange(duration.size)
     grid = filters.edges(ids)
     lo, hi = grid[:, 0], grid[:, -1]
-    target = hi if table else np.maximum(hi, spectrum.extent())
+    target = np.maximum(hi, spectrum.extent())
     comb = filters.comb_start(np.maximum(hi, spectrum.features_end()), ids)
     top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
     refine = spectrum.refinement_points()
@@ -265,8 +282,7 @@ def _first_edges(spectrum: NoiseSpectrum, filters):
     lobes = (hi < comb) & (comb < np.inf)
     if np.any(lobes):
         r = ids[lobes]
-        k = np.ceil((comb[r] - hi[r]) * duration[r] / _LOBE_PANEL_Z)
-        k = k.astype(np.int64)
+        k = _lobe_panels(hi[r], comb[r], duration[r])
         values.append(_linspaces(hi[r], comb[r], k))
         owner.append(np.repeat(r, k + 1))
     start = np.where(lobes, comb, hi)
@@ -290,23 +306,22 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
     ``filters`` is a ``filters.FilterRows``, or the one-row evaluator
     ``FilterFunction.rows`` of a single filter, and supplies each row's
     ``durations`` and first panel ``edges``.  A row integrates from its
-    first edge to max(last edge, spectrum extent), or to its last edge for
-    a table (``_TableRow``).  Its first panels end at its edges and at
-    the spectrum's refinement points: every 32nd of an analytic spectrum's
-    dense samples, and every node of a tabulated spectrum, whose linear
-    pieces kink there.  Past the grid, a pulse comb is integrated on panels
+    first edge to max(last edge, spectrum extent).  Its first panels end
+    at its edges and at the spectrum's refinement points: every 32nd of an
+    analytic spectrum's dense samples, and every node of a tabulated
+    spectrum, whose linear pieces kink there.  Past the grid, a pulse comb is integrated on panels
     at most 4 pi / t wide up to ``comb_start`` past the spectrum's lines,
     and as its period mean beyond; 33 geometric edges run to the cutoff.
     A row is integrated again while the leading remainder of its comb mean
     exceeds rel_tol / 4 of its value (the comb mean then starts 2x or more
     further out), or while the envelope tail past its cutoff exceeds
-    rel_tol of its value (the cutoff grows 6x).  A tabulated filter cannot
-    be extended: a tail above 1e-3 of its value raises ``CoverageError``.
-    ``rel_err`` adds the comb remainder to the Kronrod-Gauss estimate.
+    rel_tol of its value (the cutoff grows 6x).  ``rel_err`` adds the comb
+    remainder to the Kronrod-Gauss estimate.  A batch whose rows need more
+    than ``_MAX_LOBE_PANELS`` lobe panels in all raises ``ValidationError``.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValidationError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    duration, table = filters.durations, isinstance(filters, _TableRow)
+    duration = filters.durations
     with np.errstate(over="ignore", invalid="ignore"):
         # reported below rather than warned about
         edges, comb, top = _first_edges(spectrum, filters)
@@ -328,23 +343,19 @@ def _chi_rows(spectrum: NoiseSpectrum, filters, rel_tol: float):
         nodes[todo] += n
         tail[todo] = _tail_estimate(spectrum, filters.envelope, hi_used[todo],
                                     todo)
-        short = tail[todo] > (1e-3 if table else rel_tol) * scale
+        short = tail[todo] > rel_tol * scale
         early = comb_err > 0.25 * rel_tol * scale
         if not np.any(short | early):
             break
-        if table:
-            raise CoverageError(
-                "tabulated filter grid ends before the spectrum does and "
-                f"truncates {float(tail[todo][0] / scale[0]):.2e} of chi")
         # a comb mean that starts too early starts again further out, with
         # narrow panels up to it: the remainder falls at least as fast as
         # the (start)^-4 that this step assumes
         pushed = todo[early]
         over = comb_err[early] / (0.25 * rel_tol * scale[early])
         step = np.maximum(2.0, over ** 0.25)
-        for r, start in zip(pushed, filters.comb_start(step * comb[pushed],
-                                                       pushed)):
-            k = math.ceil((start - comb[r]) * duration[r] / _LOBE_PANEL_Z)
+        starts = filters.comb_start(step * comb[pushed], pushed)
+        panels = _lobe_panels(comb[pushed], starts, duration[pushed])
+        for r, start, k in zip(pushed, starts, panels):
             edges[r] = np.unique(np.concatenate(
                 [edges[r], np.linspace(comb[r], start, k + 1)]))
             comb[r], hi_used[r] = start, max(hi_used[r], start)
@@ -370,10 +381,13 @@ def chi_detailed(spectrum: NoiseSpectrum, ff: FilterFunction,
     the envelope ``tail_estimate`` past the cutoff and ``nodes``, the number
     of integrand evaluations.  Only ``ff.rows`` is read: an analytic
     filter's panels start on its sequence's default grid, whatever grid its
-    table was drawn on, and its cutoff grows until that tail is at most
-    ``rel_tol`` of chi.  A table built without ``rows`` ends at its last
-    node and raises ``CoverageError`` past 1e-3.
+    values were drawn on, and its cutoff grows until that tail is at most
+    ``rel_tol`` of chi.  A filter built from arrays alone (no ``rows``) has
+    no evaluator past its grid and raises ``ValidationError``.
     """
+    if ff.rows is None:
+        raise ValidationError("chi needs a closed-form filter: a table has "
+                              "no evaluator past its grid")
     chis, info = _chi_rows(spectrum, ff.rows, rel_tol)
     return float(chis[0]), {key: info[key][0].item() for key in info}
 

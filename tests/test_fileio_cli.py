@@ -815,6 +815,19 @@ _REJECTED = {
                                  "cpmg", "--revivals"], "Gaussian line"),
     "revival-order-0": (["synth", "--family", "cpmg", "--revivals",
                          "--orders", "1,0"], "orders must be >= 1"),
+    # a lobe panel count past int64, a curve of 100 rows under 5e6 lobe
+    # panels each (3.5e8 in all), a revival order past the float range,
+    # and one that would ask for about 3e9 lobe panels (23.5 GiB)
+    "synth-duration-cap": (["synth", "--family", "cpmg", "--n-list", "2",
+                            "--times", "1e-5:1e300:2"], "lobe panels"),
+    "synth-curve-cap": (["synth", "--family", "cpmg", "--n-list", "2",
+                         "--times", "50:100:100"], "lobe panels"),
+    "revival-order-overflow": (["synth", "--family", "cpmg", "--n-list", "2",
+                                "--revivals", "--orders", "9" * 400],
+                               "overflow"),
+    "revival-order-cap": (["synth", "--family", "cpmg", "--n-list", "2",
+                           "--revivals", "--orders", "1000000000"],
+                          "lobe panels"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,6 +303,25 @@ def test_constant_trace_concentrates_at_low_frequency():
     assert float(np.median(beyond)) < 1e-2 * peak
     # first sinc^2 side lobe tops out near 4.7% of the peak
     assert float(np.max(beyond)) < 0.06 * peak
+
+
+def test_a_bare_table_evaluates_by_linear_interpolation():
+    # zero outside the grid; a table reads its own values, also after
+    # replace, and so does a closed form stripped of its evaluator
+    spec = SequenceSpec.cpmg(n_pulses=2, tau_free=2.5e-5)
+    grid = default_cpmg_omegas(2, spec.duration, z_max=80.0)
+    table = numeric_ff(build_trace(spec, sample_rate=4e6), grid)
+    analytic = cpmg_ff(2, spec.duration, omegas=grid)
+    replaced = replace(table, values=analytic.values)
+    w = np.concatenate([[0.0, 0.5 * grid[0]], 0.5 * (grid[1:] + grid[:-1]),
+                        np.linspace(grid[0], grid[-1], 997),
+                        [1.5 * grid[-1], np.inf]])
+    for ff in (table, replaced, replace(analytic, rows=None)):
+        assert ff.rows is None
+        expected = np.interp(w, ff.omegas, ff.values, left=0.0, right=0.0)
+        assert np.array_equal(ff.evaluate(w), expected)
+    assert np.array_equal(replaced.evaluate(grid), analytic.values)
+    assert not np.array_equal(table.evaluate(grid), analytic.values)
 
 
 def test_numeric_ff_rejects_undersampled_frequencies():

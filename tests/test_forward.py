@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from noisespec import (
     AbscissaKind,
     CoherenceCurve,
-    CoverageError,
     Family,
     FilterFunction,
     Provenance,
@@ -38,7 +37,7 @@ from noisespec import (
     tabulated,
     write_curve,
 )
-from noisespec.filters import _EDGE_STRIDE, FilterRows, _TableRow
+from noisespec.filters import _EDGE_STRIDE, FilterRows
 from noisespec.forward import _GK_X, _LOBE_PANEL_Z, _chi_rows, _first_edges
 
 
@@ -133,11 +132,11 @@ def test_rows_that_extend_keep_their_bits_in_a_batch():
 def _per_row_edges(spectrum, filters):
     # each row's first edges as np.unique over its own parts, one call per
     # row, against which the one-pass _first_edges is checked bit for bit
-    duration, table = filters.durations, isinstance(filters, _TableRow)
+    duration = filters.durations
     ids = np.arange(duration.size)
     grid = filters.edges(ids)
     lo, hi = grid[:, 0], grid[:, -1]
-    target = hi if table else np.maximum(hi, spectrum.extent())
+    target = np.maximum(hi, spectrum.extent())
     comb = filters.comb_start(np.maximum(hi, spectrum.features_end()), ids)
     top = np.where(np.isfinite(comb), np.maximum(target, comb), target)
     refine = spectrum.refinement_points()
@@ -171,7 +170,7 @@ _EDGE_BATHS = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(bath=_EDGE_BATHS,
-       kind=st.sampled_from(["cpmg", "dysco", "gdysco", "table"]),
+       kind=st.sampled_from(["cpmg", "dysco", "gdysco"]),
        n=st.integers(min_value=1, max_value=64),
        log_t=st.lists(st.floats(math.log10(3e-6), math.log10(3e-3)),
                       min_size=1, max_size=12, unique=True),
@@ -181,9 +180,6 @@ def test_first_edges_are_each_rows_own_union(bath, kind, n, log_t, log_f):
     t = np.sort(10.0 ** np.array(log_t))
     if kind == "cpmg":
         filters = FilterRows.of(SequenceSpec.cpmg(n, duration=float(t[0])), t)
-    elif kind == "table":
-        ff = cpmg_ff(n, float(t[0]))
-        filters = FilterFunction(ff.omegas, ff.values, ff.duration).rows
     else:
         make = SequenceSpec.dysco if kind == "dysco" else SequenceSpec.gdysco
         f = np.sort(10.0 ** np.array(log_f)) / t[0]   # >= one period each
@@ -316,6 +312,15 @@ def test_comb_mean_starts_where_its_remainder_is_within_tolerance(
     assert abs(value / _ou_cpmg_chi(n, t, sigma, sigma) - 1.0) <= rel_tol
 
 
+def test_a_comb_pushed_past_the_lobe_panel_cap_is_refused(monkeypatch):
+    # the Hahn comb mean at 1 ms on a 1e5 rad/s Lorentzian first starts one
+    # lobe panel past the grid, then moves out to four: with a cap of two
+    # the first pass runs and the push is refused
+    monkeypatch.setattr("noisespec.forward._MAX_LOBE_PANELS", 2)
+    with pytest.raises(ValidationError, match="4 lobe panels"):
+        chi(lorentzian_dc(1e5, 1e5), cpmg_ff(1, 1e-3))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
 def test_a_one_ulp_move_of_the_duration_barely_moves_chi(bath, n):
     # a panel edge can flip the bisection choice, but K15 leaves little to
@@ -348,14 +353,14 @@ def _trace_filter(spec, z_max):
     gaussian_peak(2e4, 1e5, 3e6), composite(2e4, 1e5, 3e6, 2e4, 1e4),
 ], ids=["line", "line+lorentzian"])
 def test_numeric_filter_must_cover_the_spectrum(bath):
+    # chi refuses a table, so the cross-check integrates S times the
+    # sampled trace's filter itself, over a grid past the spectrum's extent
     spec = SequenceSpec.cpmg(2, duration=1e-4)
-    covering, short = _trace_filter(spec, 1e3), _trace_filter(spec, 80.0)
-    assert covering.omegas[-1] > bath.extent() > short.omegas[-1]
-    value, info = chi_detailed(bath, covering)
+    covering = _trace_filter(spec, 1e3)
+    assert covering.omegas[-1] > bath.extent()
+    w = covering.omegas
+    value = 0.5 * 1e-4 * np.trapezoid(bath.eval(w) * covering.values, w)
     assert value == pytest.approx(chi(bath, cpmg_ff(2, 1e-4)), rel=1e-3)
-    assert info["omega_max"] == covering.omegas[-1]
-    with pytest.raises(CoverageError, match="ends before the spectrum"):
-        chi_detailed(bath, short)
 
 
 _SHORT_FILTERS = {
@@ -371,27 +376,17 @@ _SHORT_FILTERS = {
 
 @pytest.mark.parametrize("make", list(_SHORT_FILTERS.values()),
                          ids=list(_SHORT_FILTERS))
-def test_a_bare_table_is_coverage_checked(make):
-    # a FilterFunction built from arrays alone is integrated as a table,
-    # whichever filter the arrays came from, with the same tail envelope as
-    # numeric_ff's, so a short grid cannot truncate chi silently
+def test_chi_refuses_a_bare_table(make):
+    # a FilterFunction built from arrays alone has no evaluator past its
+    # grid, whichever filter the arrays came from, so chi cannot integrate
+    # it without truncating or guessing its tail
     bath = gaussian_peak(2e4, 1e5, 3e6)
     short = make(default_cpmg_omegas(2, 1e-4, z_max=80.0))
-    assert short.omegas[-1] < bath.extent()
     table = FilterFunction(short.omegas, short.values, short.duration)
-    with pytest.raises(CoverageError, match="ends before the spectrum"):
-        chi_detailed(bath, table)
-
-
-def test_numeric_filter_tail_past_the_extent_is_rejected():
-    # the grid reaches the power extent, but the filter's envelope past it
-    # (a harmonic lobe at the grid end) still outweighs 1e-3 of chi
-    bath = lorentzian_dc(1e3, 500.0)
-    spec = SequenceSpec.cpmg(64, duration=1e-3)
-    ff = _trace_filter(spec, 1.001 * bath.extent() * 1e-3)
-    assert ff.omegas[-1] * 1.0001 >= bath.extent()
-    with pytest.raises(CoverageError, match="truncates"):
-        chi_detailed(bath, ff)
+    for ff in (table, replace(short, rows=None)):
+        with pytest.raises(ValidationError,
+                           match="no evaluator past its grid"):
+            chi_detailed(bath, ff)
 
 
 # --------------------------------------------------------------------------
