@@ -12,6 +12,7 @@ failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -67,6 +68,9 @@ def _common_parser() -> argparse.ArgumentParser:
                              "options")
     common.add_argument("--out", default=None)
     return common
+
+
+_SEQUENCE_FLAGS = "--n --duration --tau --f0 --sigma --quant-steps --amplitude"
 
 
 def _add_sequence_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -228,12 +232,23 @@ def _cmd_bandwidth(args) -> int:
     return _finish(args, [path], prefix=prefix)
 
 
+@functools.cache
+def _declared_defaults(command: str) -> dict:
+    """``command``'s option defaults as declared, before any ``--config``."""
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.default for a in sub.choices[command]._actions}
+
+
 def _refuse(args, flags: str, why: str) -> None:
-    """Refuse the first of the space-separated ``flags`` that is set."""
+    """Refuse the first of the space-separated ``flags`` that is set: whose
+    value, from the command line or a ``--config``, is not the declared
+    default."""
+    declared = _declared_defaults(args.command)
     for flag in flags.split():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False:
-            raise ValidationError(f"synth {flag} {why}")
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != declared[dest]:
+            raise ValidationError(f"{args.command} {flag} {why}")
 
 
 def _cmd_synth(args) -> int:
@@ -324,15 +339,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _read_cli_curves(args, paths: list[str]):
+    """The curves of ``paths``: raw tables of the sequence that the flags
+    give, with ``--family``, and sidecar curves without it."""
+    if args.family:
+        seq = _sequence_from_args(args)
+    else:
+        _refuse(args, _SEQUENCE_FLAGS, "needs --family, which reads raw tables")
     for p in paths:
         if not Path(p).exists():
             raise ValidationError(f"curve file does not exist: {p}")
-    if args.schema:
-        seq = _sequence_from_args(args) if args.family else None
-        curves = [fileio.ingest_curve(p, args.schema, sequence=seq)
-                  for p in paths]
-    else:
-        curves = [fileio.read_curve(p) for p in paths]
+    curves = [fileio.ingest_curve(p, seq) if args.family
+              else fileio.read_curve(p) for p in paths]
     # a sidecar's pulse count meets the same cap as --n
     _check_pulses([c.sequence.n_pulses for c in curves
                    if c.sequence.family.pulsed])
@@ -340,6 +357,8 @@ def _read_cli_curves(args, paths: list[str]):
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.mode == "direct":
+        _refuse(args, "--bins", "does not apply to direct mode")
     curves = _read_cli_curves(args, args.curves)
     if args.mode == "sd":
         recon = cpmg_sd(curves, bin_count=args.bins)
@@ -378,28 +397,12 @@ def _parse_initial(token: str) -> dict[str, float]:
 
 
 def _cmd_fit(args) -> int:
-    out = _outdir(args)
-    prefix = args.out or f"fit_{args.mode}"
-    if args.mode == "noise":
-        curves = _read_cli_curves(args, args.curves)
-        if len(curves) != 1:
-            raise ValidationError("noise fit takes exactly one curve")
-        initial = _parse_initial(args.initial or "default")
-        result = fitting.fit_noise_params(curves[0], initial=initial,
-                                          max_iterations=args.max_iterations)
-    elif args.mode in ("envelope", "comb"):
-        curves = _read_cli_curves(args, args.curves)
-        if len(curves) != 1:
-            raise ValidationError(f"{args.mode} fit takes exactly one curve")
-        curve = curves[0]
-        if curve.abscissa_kind is not AbscissaKind.TIME:
-            raise ValidationError(f"{args.mode} fit needs a TIME curve")
-        if args.mode == "envelope":
-            result = fitting.fit_envelope(curve.xs, curve.coherences,
-                                          uncertainties=curve.uncertainties)
-        else:
-            result = fitting.fit_revival_comb(curve.xs, curve.coherences)
-    else:
+    if args.mode != "noise":
+        _refuse(args, "--initial --max-iterations",
+                f"does not apply to {args.mode} mode")
+    if args.mode == "peak":
+        _refuse(args, f"--family {_SEQUENCE_FLAGS}",
+                "does not apply to peak mode, which reads a spectrum CSV")
         if len(args.curves) != 1:
             raise ValidationError("peak fit takes exactly one spectrum CSV")
         if not Path(args.curves[0]).exists():
@@ -409,6 +412,24 @@ def _cmd_fit(args) -> int:
             omegas=w, values=v, uncertainties=u, flags=flags,
             method=Method.CPMG_SD)
         result = fitting.fit_gaussian_peak(spectrum)
+    else:
+        curves = _read_cli_curves(args, args.curves)
+        if len(curves) != 1:
+            raise ValidationError(f"{args.mode} fit takes exactly one curve")
+        (curve,) = curves
+        if args.mode == "noise":
+            initial = _parse_initial(args.initial or "default")
+            result = fitting.fit_noise_params(
+                curve, initial=initial, max_iterations=args.max_iterations)
+        elif curve.abscissa_kind is not AbscissaKind.TIME:
+            raise ValidationError(f"{args.mode} fit needs a TIME curve")
+        elif args.mode == "envelope":
+            result = fitting.fit_envelope(curve.xs, curve.coherences,
+                                          uncertainties=curve.uncertainties)
+        else:
+            result = fitting.fit_revival_comb(curve.xs, curve.coherences)
+    out = _outdir(args)
+    prefix = args.out or f"fit_{args.mode}"
     path = out / f"{prefix}.json"
     fileio.write_json(path, {
         "parameters": result.parameters,
@@ -424,6 +445,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    _refuse(args, "--bins" if args.mode == "peak" else "--duration",
+            f"does not apply to {args.mode} mode")
     spectrum = _load_spectrum(args.spectrum)
     out = _outdir(args)
     prefix = args.out or "roundtrip"
@@ -528,9 +551,6 @@ def build_parser(defaults: dict | None = None,
     p_rec.add_argument("--mode", choices=["sd", "direct"], required=True)
     p_rec.add_argument("--curves", nargs="+", required=True)
     p_rec.add_argument("--bins", type=int, default=40, help=_BINS_HELP)
-    p_rec.add_argument("--schema", default=None,
-                       choices=["time_csv", "freq_csv"],
-                       help="ingest raw CSVs instead of sidecar curves")
     _add_sequence_args(p_rec, required=False)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
@@ -542,8 +562,6 @@ def build_parser(defaults: dict | None = None,
     p_fit.add_argument("--initial", default=None,
                        help="default | JSON path | k=v,k=v")
     p_fit.add_argument("--max-iterations", type=int, default=2000)
-    p_fit.add_argument("--schema", default=None,
-                       choices=["time_csv", "freq_csv"])
     _add_sequence_args(p_fit, required=False)
     p_fit.set_defaults(func=_cmd_fit)
 

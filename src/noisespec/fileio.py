@@ -27,18 +27,10 @@ from .noise import ComponentKind, NoiseSpectrum, SpectralComponent, tabulated
 from .reconstruct import ReconstructedSpectrum
 from .sequences import SensitivityTrace, SequenceSpec
 
-_TIME_HEADER = ["time_s", "coherence", "uncertainty"]
-_FREQ_HEADER = ["frequency_hz", "coherence", "uncertainty"]
-
-
-class CurveSchema(str, Enum):
-    TIME_CSV = "time_csv"
-    FREQ_CSV = "freq_csv"
-
-    @property
-    def abscissa_kind(self) -> AbscissaKind:
-        return AbscissaKind.TIME if self is CurveSchema.TIME_CSV \
-            else AbscissaKind.MOD_FREQUENCY
+_CURVE_HEADERS = {
+    AbscissaKind.TIME: ["time_s", "coherence", "uncertainty"],
+    AbscissaKind.MOD_FREQUENCY: ["frequency_hz", "coherence", "uncertainty"],
+}
 
 
 def _fmt(x: float) -> str:
@@ -98,9 +90,7 @@ def read_json(path: str | Path):
 def write_curve(curve: CoherenceCurve, path: str | Path) -> Path:
     """Write a curve as CSV plus a ``<stem>.meta.json`` sidecar."""
     path = Path(path)
-    header = _TIME_HEADER if curve.abscissa_kind is AbscissaKind.TIME \
-        else _FREQ_HEADER
-    path.write_text(_csv_text(header, (
+    path.write_text(_csv_text(_CURVE_HEADERS[curve.abscissa_kind], (
         [_fmt(x), _fmt(c), _fmt(u)]
         for x, c, u in zip(curve.xs, curve.coherences, curve.uncertainties))))
     write_json(_meta_path(path), {
@@ -117,6 +107,15 @@ def read_curve(path: str | Path) -> CoherenceCurve:
     sidecar keys it does not read, as in older files, are ignored, and an
     ``abscissa_kind`` that contradicts the sequence is an error."""
     path = Path(path)
+    sequence, provenance, metadata = _sidecar(path)
+    xs, cs, us, _ = _read_rows(path, sequence, drop_bad=False)
+    return CoherenceCurve(xs=xs, coherences=cs, uncertainties=us,
+                          sequence=sequence, provenance=provenance, metadata=metadata)
+
+
+def _sidecar(path: Path) -> tuple[SequenceSpec, Provenance, dict]:
+    """(sequence, provenance, metadata) from the sidecar of ``path``, read
+    and checked as :func:`read_curve` says."""
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar: {meta_file}")
@@ -130,22 +129,12 @@ def read_curve(path: str | Path) -> CoherenceCurve:
         metadata = sidecar.get("metadata", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
-    xs, cs, us, _ = _read_rows(path, kind, drop_bad=False)
-    return _matching(CoherenceCurve(
-        xs=xs, coherences=cs, uncertainties=us,
-        sequence=sequence, provenance=provenance,
-        metadata=metadata,
-    ), kind, f"{meta_file}: abscissa_kind {kind.value!r}")
-
-
-def _matching(curve: CoherenceCurve, kind: AbscissaKind,
-              what: str) -> CoherenceCurve:
-    """``curve``, if its template runs over the ``kind`` that ``what`` names."""
-    if curve.abscissa_kind is not kind:
+    if kind is not AbscissaKind.of(sequence):
         raise ValidationError(
-            f"{what} contradicts the {curve.sequence.family.value} sequence, "
-            f"whose abscissa is {curve.abscissa_kind.value}")
-    return curve
+            f"{meta_file}: abscissa_kind {kind.value!r} contradicts the "
+            f"{sequence.family.value} sequence, whose abscissa is "
+            f"{AbscissaKind.of(sequence).value}")
+    return sequence, provenance, metadata
 
 
 def _csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -163,8 +152,8 @@ def _csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     return [c.strip().lower() for c in rows[0]], rows[1:]
 
 
-def _read_rows(path: Path, kind: AbscissaKind, drop_bad: bool):
-    header = _TIME_HEADER if kind is AbscissaKind.TIME else _FREQ_HEADER
+def _read_rows(path: Path, sequence: SequenceSpec, drop_bad: bool):
+    header = _CURVE_HEADERS[AbscissaKind.of(sequence)]
     dropped: list[int] = []
     xs, cs, us = [], [], []
     cols, rows = _csv_rows(path)
@@ -199,44 +188,31 @@ def _read_rows(path: Path, kind: AbscissaKind, drop_bad: bool):
     return xs, np.asarray(cs), np.asarray(us), dropped
 
 
-def ingest_curve(path: str | Path, schema: CurveSchema | str,
+def ingest_curve(path: str | Path,
                  sequence: SequenceSpec | None = None) -> CoherenceCurve:
-    """Load an externally produced coherence table.
+    """Load an externally produced coherence table of ``sequence``, or of
+    the sequence in the sidecar that :func:`write_curve` left next to the
+    file when ``sequence`` is None.
 
-    Non-finite rows are dropped with a warning naming their line numbers;
-    missing columns, a non-monotone abscissa, and an empty table are errors.
-    The uncertainty column is optional (defaults to zero).  If a sidecar
-    written by :func:`write_curve` sits next to the file its sequence is
-    used; otherwise ``sequence`` is required.  The schema must name the
-    sequence's abscissa: ``time_csv`` for a pulse train, ``freq_csv`` for a
-    carrier.  Points whose coherence
+    The sequence sets the columns: ``time_s`` for a pulse train or
+    ``frequency_hz`` for a carrier, then ``coherence`` and an optional
+    ``uncertainty`` (defaults to zero).  Non-finite rows are dropped with a
+    warning naming their line numbers; a missing column, a non-monotone
+    abscissa, and an empty table are errors.  Points whose coherence
     exceeds 1 by more than three uncertainties are kept but listed in
     ``metadata['suspect_rows']``.
     """
     path = Path(path)
-    schema = CurveSchema(schema)
-    kind = schema.abscissa_kind
-    meta_file = _meta_path(path)
-    if sequence is None and meta_file.exists():
-        sidecar = read_json(meta_file)
-        try:
-            sequence = SequenceSpec.from_dict(sidecar["sequence"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{meta_file}: malformed sidecar ({exc!r})") from None
     if sequence is None:
-        raise ValidationError(
-            "ingest needs a SequenceSpec (no sidecar found next to the file)")
-    xs, cs, us, dropped = _read_rows(path, kind, drop_bad=True)
+        sequence = _sidecar(path)[0]
+    xs, cs, us, dropped = _read_rows(path, sequence, drop_bad=True)
     suspect = np.flatnonzero(cs > 1.0 + 3.0 * us)
     meta: dict = {"dropped_lines": dropped}
     if suspect.size:
         meta["suspect_rows"] = suspect.tolist()
-    curve = _matching(CoherenceCurve(
-        xs=xs, coherences=cs, uncertainties=us,
-        sequence=sequence,
-        provenance=Provenance("ingested", path=str(path)),
-        metadata=meta,
-    ), kind, f"schema {schema.value!r}")
+    curve = CoherenceCurve(xs=xs, coherences=cs, uncertainties=us, sequence=sequence,
+                           provenance=Provenance("ingested", path=str(path)),
+                           metadata=meta)
     # only a table that is taken, so that a refusal stays one line
     if dropped:
         warnings.warn(f"{path}: dropped non-finite rows at lines {dropped}",

@@ -38,6 +38,12 @@ class AbscissaKind(str, Enum):
     TIME = "time"
     MOD_FREQUENCY = "mod_frequency"
 
+    @classmethod
+    def of(cls, sequence: SequenceSpec) -> AbscissaKind:
+        """What a curve of ``sequence`` runs over: time for a pulse train,
+        modulation frequency for a carrier."""
+        return cls.TIME if sequence.family.pulsed else cls.MOD_FREQUENCY
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -90,8 +96,7 @@ class CoherenceCurve:
 
     @property
     def abscissa_kind(self) -> AbscissaKind:
-        return AbscissaKind.TIME if self.sequence.family.pulsed \
-            else AbscissaKind.MOD_FREQUENCY
+        return AbscissaKind.of(self.sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +119,8 @@ _GK_X = np.array([-x for x in _XK] + [0.0] + list(_XK[::-1]))
 _GK_WK = np.array(_WK + _WK[-2::-1])
 _GK_WG = np.array(_WG + _WG[-2::-1])
 _GK_BLOCK = 512           # panels per evaluation block
+_GK_MAX_ROUNDS = 14       # bisection rounds of a row
+_GK_MAX_NODES = 400_000   # evaluations past which a row stops bisecting
 _LOBE_PANEL_Z = 4.0 * math.pi   # widest panel (in omega * t) across a comb
 _MAX_LOBE_PANELS = 10 ** 7      # lobe panels of a batch, past its grids
 
@@ -148,8 +155,7 @@ def _gk_panels(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
 
 
 def _gk_rows(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
-             ids: np.ndarray, edges: list, rel_tol: float,
-             max_rounds: int = 14, max_nodes: int = 400_000):
+             ids: np.ndarray, edges: list, rel_tol: float):
     """Adaptive G7/K15 integral of S * FF for the filter rows ``ids`` over
     their panel edges ``edges``.
 
@@ -167,7 +173,7 @@ def _gk_rows(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
     k, g = _gk_panels(spectrum, filters, comb, ids[rows], a, b)
     nodes = 15 * counts
     value, rel_err = np.empty(len(edges)), np.empty(len(edges))
-    for rnd in range(max_rounds + 1):
+    for rnd in range(_GK_MAX_ROUNDS + 1):
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         local, panels = rows[starts], np.diff(np.r_[starts, rows.size])
         diff = np.abs(k - g)
@@ -177,7 +183,7 @@ def _gk_rows(spectrum: NoiseSpectrum, filters, comb: np.ndarray,
         value[local], rel_err[local] = total, err / scale
         split = diff > np.repeat(rel_tol * scale / panels, panels)
         open_ = (err > rel_tol * scale) & np.logical_or.reduceat(split, starts)
-        stalled = open_ & ((rnd == max_rounds) | (15 * panels >= max_nodes))
+        stalled = open_ & ((rnd == _GK_MAX_ROUNDS) | (15 * panels >= _GK_MAX_NODES))
         bad = stalled & (err > 50.0 * rel_tol * scale)
         if np.any(bad):
             worst = float(np.max(rel_err[local[bad]]))

@@ -78,7 +78,7 @@ def test_sidecar_with_the_old_abscissa_label_still_reads(tmp_path,
     meta = json.loads(meta_file.read_text())
     assert "swept" not in meta
     meta_file.write_text(json.dumps({**meta, "swept": "duration"}))
-    for loaded in (read_curve(path), ingest_curve(path, "time_csv")):
+    for loaded in (read_curve(path), ingest_curve(path)):
         assert np.array_equal(loaded.xs, small_curve.xs)
         assert np.array_equal(loaded.coherences, small_curve.coherences)
         assert loaded.sequence == small_curve.sequence
@@ -106,7 +106,7 @@ def test_ingest_plain_table(tmp_path):
                     "time_s,coherence,uncertainty\n"
                     "1e-5,0.95,0.01\n2e-5,0.80,0.01\n3e-5,0.60,0.01\n")
     seq = SequenceSpec.cpmg(2, duration=3e-5)
-    curve = ingest_curve(path, "time_csv", sequence=seq)
+    curve = ingest_curve(path, seq)
     assert curve.xs.size == 3
     assert curve.coherences[1] == 0.80
     assert curve.provenance.kind == "ingested"
@@ -117,8 +117,7 @@ def test_ingest_flags_suspect_rows(tmp_path):
     path = _raw_csv(tmp_path,
                     "time_s,coherence,uncertainty\n"
                     "1e-5,0.95,0.05\n2e-5,1.20,0.05\n3e-5,0.60,0.05\n")
-    curve = ingest_curve(path, "time_csv",
-                         sequence=SequenceSpec.cpmg(2, duration=3e-5))
+    curve = ingest_curve(path, SequenceSpec.cpmg(2, duration=3e-5))
     assert curve.xs.size == 3
     # indices into the ingested arrays, not file line numbers
     assert curve.metadata["suspect_rows"] == [1]
@@ -129,8 +128,7 @@ def test_ingest_drops_non_finite_rows_with_warning(tmp_path):
                     "time_s,coherence,uncertainty\n"
                     "1e-5,0.95,0.01\n2e-5,nan,0.01\n3e-5,0.60,0.01\n")
     with pytest.warns(UserWarning, match=r"lines \[3\]"):
-        curve = ingest_curve(path, "time_csv",
-                             sequence=SequenceSpec.cpmg(2, duration=3e-5))
+        curve = ingest_curve(path, SequenceSpec.cpmg(2, duration=3e-5))
     assert curve.xs.size == 2
     assert np.array_equal(curve.coherences, [0.95, 0.60])
 
@@ -138,23 +136,20 @@ def test_ingest_drops_non_finite_rows_with_warning(tmp_path):
 def test_ingest_rejects_malformed_tables(tmp_path):
     missing = _raw_csv(tmp_path, "time_s,value\n1e-5,0.9\n", "m.csv")
     with pytest.raises(ValidationError):
-        ingest_curve(missing, "time_csv",
-                     sequence=SequenceSpec.cpmg(2, duration=3e-5))
+        ingest_curve(missing, SequenceSpec.cpmg(2, duration=3e-5))
     empty = _raw_csv(tmp_path, "time_s,coherence,uncertainty\n", "e.csv")
     with pytest.raises(ValidationError):
-        ingest_curve(empty, "time_csv",
-                     sequence=SequenceSpec.cpmg(2, duration=3e-5))
+        ingest_curve(empty, SequenceSpec.cpmg(2, duration=3e-5))
     backwards = _raw_csv(tmp_path,
                          "time_s,coherence,uncertainty\n"
                          "3e-5,0.6,0.01\n1e-5,0.9,0.01\n", "b.csv")
     with pytest.raises(ValidationError):
-        ingest_curve(backwards, "time_csv",
-                     sequence=SequenceSpec.cpmg(2, duration=3e-5))
+        ingest_curve(backwards, SequenceSpec.cpmg(2, duration=3e-5))
 
 
 def test_ingest_prefers_sidecar_sequence(tmp_path, small_curve):
     path = write_curve(small_curve, tmp_path / "c.csv")
-    curve = ingest_curve(path, "time_csv")
+    curve = ingest_curve(path)
     assert curve.sequence == small_curve.sequence
 
 
@@ -162,30 +157,31 @@ def test_ingest_needs_sequence_without_sidecar(tmp_path):
     path = _raw_csv(tmp_path,
                     "time_s,coherence,uncertainty\n1e-5,0.9,0.01\n")
     with pytest.raises(ValidationError):
-        ingest_curve(path, "time_csv")
+        ingest_curve(path)
 
 
-@pytest.mark.parametrize("schema, header, sequence", [
-    ("freq_csv", "frequency_hz", SequenceSpec.cpmg(2, duration=3e-5)),
-    ("time_csv", "time_s", SequenceSpec.dysco(2e-4, 1e5)),
+@pytest.mark.parametrize("header, column, sequence", [
+    ("frequency_hz", "time_s", SequenceSpec.cpmg(2, duration=3e-5)),
+    ("time_s", "frequency_hz", SequenceSpec.dysco(2e-4, 1e5)),
 ], ids=["freq-cpmg", "time-dysco"])
-def test_ingest_schema_must_match_the_sequence(tmp_path, schema, header,
-                                               sequence):
+def test_ingest_columns_follow_the_sequence(tmp_path, header, column,
+                                            sequence):
     # a pulse train runs over time, a carrier over modulation frequency
     path = _raw_csv(tmp_path, f"{header},coherence,uncertainty\n"
                               "1e4,0.9,0.01\n2e4,0.8,0.01\n")
-    with pytest.raises(ValidationError, match=f"schema '{schema}'"):
-        ingest_curve(path, schema, sequence=sequence)
+    with pytest.raises(ValidationError,
+                       match=rf"missing columns \['{column}'\]"):
+        ingest_curve(path, sequence)
 
 
 def test_ingest_refusal_warns_nothing_about_dropped_rows(tmp_path):
-    path = _raw_csv(tmp_path, "frequency_hz,coherence,uncertainty\n"
-                              "1e4,0.9,0.01\n2e4,nan,0.01\n3e4,0.8,0.01\n")
+    # the table is refused after its non-finite row is dropped
+    path = _raw_csv(tmp_path, "time_s,coherence,uncertainty\n"
+                              "0.0,0.9,0.01\n2e-5,nan,0.01\n3e-5,0.8,0.01\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="contradicts"):
-            ingest_curve(path, "freq_csv",
-                         sequence=SequenceSpec.cpmg(2, duration=1e-4))
+        with pytest.raises(ValidationError, match="positive"):
+            ingest_curve(path, SequenceSpec.cpmg(2, duration=1e-4))
 
 
 def test_read_curve_rejects_a_kind_its_sequence_contradicts(tmp_path,
@@ -564,13 +560,50 @@ def test_cli_reconstruct_direct_from_raw_table(tmp_path, bath):
               for f, c in zip(sweep.xs, sweep.coherences)]
     raw.write_text("\n".join(lines) + "\n")
     rc = cli_main(["reconstruct", "--mode", "direct", "--curves", str(raw),
-                   "--schema", "freq_csv", "--family", "dysco",
+                   "--family", "dysco",
                    "--duration", "2e-4", "--f0", "1e5",
                    "--outdir", str(tmp_path)])
     assert rc == 0
     w, v, u, flags = read_spectrum_csv(tmp_path / "reconstruct_direct.csv")
     assert w.size == 20
     assert np.any(np.isfinite(v))
+
+
+@pytest.mark.parametrize("synth, mode, flags", [
+    (["--family", "gdysco", "--duration", "2e-4", "--f-grid", "3e4:1.2e5:56"],
+     "direct", ["--family", "gdysco", "--duration", "2e-4", "--f0", "3e4"]),
+    (["--family", "cpmg", "--n-list", "4", "--times", "3e-5:3e-3:12"],
+     "sd", ["--family", "cpmg", "--n", "4", "--duration", "3e-3"]),
+], ids=["direct-gdysco", "sd-cpmg"])
+def test_cli_raw_table_reconstructs_as_its_sidecar_curve(tmp_path, synth,
+                                                         mode, flags):
+    # one written curve, read through its sidecar and, copied without it,
+    # through the sequence flags
+    assert cli_main(["synth", *synth, "--epsilon", "0.02", "--seed", "3",
+                     "--rel-tol", "1e-3",
+                     "--outdir", str(tmp_path / "synth")]) == 0
+    (curve,) = (tmp_path / "synth").glob("*.csv")
+    raw = tmp_path / "tables" / curve.name
+    raw.parent.mkdir()
+    raw.write_bytes(curve.read_bytes())
+    for route, curves in (("sidecar", [str(curve)]),
+                          ("raw", [str(raw), *flags])):
+        assert cli_main(["reconstruct", "--mode", mode, "--curves", *curves,
+                         "--outdir", str(tmp_path / route)]) == 0
+    for name in (f"reconstruct_{mode}.csv", f"reconstruct_{mode}.meta.json"):
+        assert (tmp_path / "raw" / name).read_bytes() == \
+            (tmp_path / "sidecar" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, mode", [("reconstruct", "sd"),
+                                           ("fit", "noise")])
+def test_cli_schema_is_a_usage_error(tmp_path, capsys, command, mode):
+    # the sequence flags alone select raw-table ingestion
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--mode", mode, "--curves", "c.csv",
+                  "--schema", "time_csv", "--outdir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --schema" in capsys.readouterr().err
 
 
 def _one_line_error(capsys) -> str:
@@ -639,14 +672,14 @@ def test_cli_config_with_equals_sign_sets_defaults(tmp_path):
     ("synth", {"spectrum": 5}),
     ("synth", {"orders": [1, 2]}),
     ("synth", {"n_list": [2]}),
-    ("reconstruct", {"schema": 5}),
+    ("reconstruct", {"family": 5}),
     ("fit", {"initial": {"gauss_delta": 5e5}}),
     ("synth", {"epsilon": None}),
 ], ids=["list-for-float", "abc-for-epsilon", "object-for-seed", "true-for-bins",
         "outside-choices", "string-for-flag", "number-for-times",
         "list-for-f-grid", "number-for-outdir", "number-for-out",
         "number-for-spectrum", "list-for-orders", "list-for-n-list",
-        "number-for-schema", "object-for-initial", "null-for-epsilon"])
+        "number-for-family", "object-for-initial", "null-for-epsilon"])
 def test_cli_wrong_typed_config_default_exits_3(tmp_path, monkeypatch, capsys,
                                                 command, config):
     monkeypatch.chdir(tmp_path)
@@ -828,6 +861,25 @@ _REJECTED = {
     "revival-order-cap": (["synth", "--family", "cpmg", "--n-list", "2",
                            "--revivals", "--orders", "1000000000"],
                           "lobe panels"),
+    # flags that the mode or the curve source would drop
+    "sequence-flag-without-family": (["reconstruct", "--mode", "sd",
+                                      "--curves", "CURVE", "--duration",
+                                      "1e-3"], "--duration needs --family"),
+    "peak-fit-family": (["fit", "--mode", "peak", "--curves", "NAN_OMEGA",
+                         "--family", "cpmg"], "fit --family does not apply"),
+    "reconstruct-direct-bins": (["reconstruct", "--mode", "direct", "--bins",
+                                 "7", "--curves", "CURVE"],
+                                "reconstruct --bins does not apply"),
+    "roundtrip-sd-duration": (["roundtrip", "--mode", "sd", "--duration",
+                               "5e-4"], "roundtrip --duration does not apply"),
+    "roundtrip-peak-bins": (["roundtrip", "--mode", "peak", "--bins", "10"],
+                            "roundtrip --bins does not apply"),
+    **{f"fit-{mode}-{flag}": (["fit", "--mode", mode, "--curves",
+                               "NAN_OMEGA" if mode == "peak" else "CURVE",
+                               f"--{flag}", value],
+                              f"fit --{flag} does not apply to {mode} mode")
+       for mode in ("envelope", "comb", "peak")
+       for flag, value in (("initial", "default"), ("max-iterations", "3"))},
 }
 
 
@@ -952,6 +1004,24 @@ def test_cli_seed_and_tolerance_only_where_read(tmp_path, capsys, argv, flag,
         cli_main([*argv, flag, value, "--outdir", str(tmp_path)])
     assert err.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iterations, rc", [(3, 3), (2000, 0)],
+                         ids=["set", "declared-default"])
+def test_cli_config_value_counts_as_set_unless_declared(tmp_path, capsys,
+                                                        small_curve,
+                                                        iterations, rc):
+    # a value that a mode drops is refused from a config file too, unless
+    # it is the default that the parser declares
+    path = write_curve(small_curve, tmp_path / "c.csv")
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"max_iterations": iterations}))
+    assert cli_main(["fit", "--mode", "envelope", "--curves", str(path),
+                     "--config", str(tmp_path / "cfg.json"),
+                     "--outdir", str(tmp_path / "out")]) == rc
+    if rc:
+        assert "--max-iterations" in _one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_key_of_another_command_is_not_recorded(tmp_path):
@@ -1112,18 +1182,17 @@ _TABLE = st.one_of(
 
 
 @_FUZZ
-@given(table=_TABLE, schema=st.sampled_from(["time_csv", "freq_csv"]))
-def test_fuzz_ingest_curve(tmp_path, table, schema):
+@given(table=_TABLE, pulsed=st.booleans())
+def test_fuzz_ingest_curve(tmp_path, table, pulsed):
     tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
     (tmp_path / "raw.csv").write_bytes(table)
-    if schema == "time_csv":
+    if pulsed:
         argv = ["reconstruct", "--mode", "sd", "--family", "cpmg", "--n", "2",
                 "--duration", "1e-4"]
     else:
         argv = ["reconstruct", "--mode", "direct", "--family", "dysco",
                 "--duration", "2e-4", "--f0", "8e4"]
-    _fuzz_cli([*argv, "--schema", schema, "--curves", "raw.csv",
-               "--outdir", "out"], tmp_path)
+    _fuzz_cli([*argv, "--curves", "raw.csv", "--outdir", "out"], tmp_path)
 
 
 @_FUZZ

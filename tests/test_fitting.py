@@ -258,8 +258,7 @@ def test_noise_fit_kernel_rows_are_each_points_filter(bath, tmp_path, family):
         path = tmp_path / "hahn.csv"
         path.write_text("time_s,coherence\n" + "".join(
             f"{t!r},{math.exp(-t / 1e-3)!r}\n" for t in times.tolist()))
-        curve = ingest_curve(path, "time_csv",
-                             SequenceSpec.hahn(float(times[-1]) / 2.0))
+        curve = ingest_curve(path, SequenceSpec.hahn(float(times[-1]) / 2.0))
     grid, kernel = _chi_operator(curve, (1e5, 1e6))
     w = np.empty_like(grid)     # trapezoid weights
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
