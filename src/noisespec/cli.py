@@ -1,9 +1,11 @@
 """Command-line entry points.
 
-Every subcommand writes plot-ready CSV/JSON artifacts plus a manifest that
-pins the config digest, seed, and library versions, so reruns with the same
-arguments are byte-identical.  Frequencies are accepted in Hz on the command
-line and converted to rad/s internally.
+Every subcommand checks and computes everything first and returns its
+outputs; one run step then creates the output directory and writes them,
+plot-ready CSV/JSON artifacts, plus a manifest that pins the config digest,
+seed, and library versions, so a refused run creates nothing and reruns with
+the same arguments are byte-identical.  Frequencies are accepted in Hz on
+the command line and converted to rad/s internally.
 
 Exit codes: 0 all artifacts written, 2 bad usage, 3 input validation
 failure, 4 numeric failure.
@@ -16,7 +18,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,8 @@ import numpy as np
 from . import fileio
 from .errors import NumericError, ValidationError
 from .filters import peak_stats
-from .forward import AbscissaKind, add_measurement_noise, chi_detailed, \
-    filter_for, synth_curve
+from .forward import AbscissaKind, _curve_seed, add_measurement_noise, \
+    chi_detailed, filter_for, synth_curve
 from .noise import ComponentKind, NoiseSpectrum, default_experiment_spectrum, \
     tabulated
 from .oracle import _OVERSAMPLE, McConfig, mc_coherence
@@ -170,66 +172,51 @@ def _check_pulses(n_list: list[int]) -> None:
                 "default filter grid holds about 100 nodes per pulse)")
 
 
-def _outdir(args) -> Path:
-    root = args.outdir or os.environ.get("NOISESPEC_OUTDIR") or "."
-    out = Path(root)
+def _run(args) -> int:
+    """Run the command, which returns once all its work is done; only then
+    create the output directory, write and print each output, and write
+    ``<prefix>_manifest.json`` last."""
+    prefix, outputs = args.func(args)
+    out = Path(args.outdir or os.environ.get("NOISESPEC_OUTDIR") or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit(path: Path) -> Path:
-    print(path)
-    return path
-
-
-def _config_of(args) -> dict:
-    skip = {"func", "config", "outdir"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _finish(args, outputs: list[Path], inputs: list[str] | None = None,
-            prefix: str = "run") -> int:
-    out = _outdir(args)
-    manifest = fileio.write_manifest(
-        out / f"{prefix}_manifest.json", _config_of(args),
-        seed=getattr(args, "seed", None),
-        inputs=inputs or [],
-        outputs=[p.name for p in outputs])   # keep runs relocatable
-    _emit(manifest)
+    for name, output in outputs:
+        if callable(output):
+            output(out / name)
+        else:
+            fileio.write_json(out / name, output)
+        print(out / name)
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func", "config", "outdir")}
+    manifest = out / f"{prefix}_manifest.json"
+    # output names, not paths, keep runs relocatable
+    fileio.write_manifest(manifest, config, seed=getattr(args, "seed", None),
+                          inputs=getattr(args, "curves", None),
+                          outputs=[name for name, _ in outputs])
+    print(manifest)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (manifest prefix, [(file name, payload or writer)])
 # ---------------------------------------------------------------------------
 
-def _cmd_ff(args) -> int:
+def _cmd_ff(args):
     spec = _sequence_from_args(args)
     ff = filter_for(spec)
-    stats = peak_stats(ff)
-    out = _outdir(args)
+    stats = asdict(peak_stats(ff))
+    stats["units"] = {"f0": "Hz", "fwhm": "Hz", "harmonic_frequencies": "Hz"}
     prefix = args.out or f"ff_{spec.family.value}"
-    csv_path = _emit(fileio.write_ff_csv(ff, out / f"{prefix}.csv"))
-    payload = asdict(stats)
-    payload["units"] = {"f0": "Hz", "fwhm": "Hz", "harmonic_frequencies": "Hz"}
-    json_path = out / f"{prefix}_stats.json"
-    fileio.write_json(json_path, payload)
-    _emit(json_path)
-    return _finish(args, [csv_path, json_path], prefix=prefix)
+    return prefix, [(f"{prefix}.csv", functools.partial(fileio.write_ff_csv, ff)),
+                    (f"{prefix}_stats.json", stats)]
 
 
-def _cmd_bandwidth(args) -> int:
+def _cmd_bandwidth(args):
     spec = _sequence_from_args(args)
-    report = bandwidth_report(spec, f_rabi=args.f_rabi, t2_echo=args.t2_echo,
-                              margin=args.margin)
-    out = _outdir(args)
+    report = asdict(bandwidth_report(spec, f_rabi=args.f_rabi,
+                                     t2_echo=args.t2_echo, margin=args.margin))
+    report["units"] = {"f_min": "Hz", "f_max": "Hz", "fwhm": "Hz"}
     prefix = args.out or f"bandwidth_{spec.family.value}"
-    path = out / f"{prefix}.json"
-    payload = asdict(report)
-    payload["units"] = {"f_min": "Hz", "f_max": "Hz", "fwhm": "Hz"}
-    fileio.write_json(path, payload)
-    _emit(path)
-    return _finish(args, [path], prefix=prefix)
+    return prefix, [(f"{prefix}.json", report)]
 
 
 @functools.cache
@@ -251,7 +238,7 @@ def _refuse(args, flags: str, why: str) -> None:
             raise ValidationError(f"{args.command} {flag} {why}")
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     spectrum = _load_spectrum(args.spectrum)
     family = Family(args.family)
     prefix = f"{args.out or 'synth'}_{family.value}"
@@ -290,16 +277,14 @@ def _cmd_synth(args) -> int:
             # the template's, and so the manifest's; the grid sweeps it
             args.f0 = float(xs[0])
         curves = [(f"{prefix}.csv", _sequence_from_args(args), xs)]
-    curves = [(name, synth_curve(spectrum, template, xs, rel_tol=args.rel_tol))
-              for name, template, xs in curves]
-    out = _outdir(args)
-    outputs: list[Path] = []
-    for i, (name, curve) in enumerate(curves):
+    outputs = []
+    for i, (name, template, xs) in enumerate(curves):
+        curve = synth_curve(spectrum, template, xs, rel_tol=args.rel_tol)
         if args.epsilon != 0.0:
             curve = add_measurement_noise(curve, args.epsilon,
-                                          args.seed + i)
-        outputs.append(_emit(fileio.write_curve(curve, out / name)))
-    return _finish(args, outputs, prefix=prefix)
+                                          _curve_seed(args.seed, i))
+        outputs.append((name, functools.partial(fileio.write_curve, curve)))
+    return prefix, outputs
 
 
 def _oracle_sample_rate(spec: SequenceSpec, extent: float) -> float:
@@ -308,7 +293,7 @@ def _oracle_sample_rate(spec: SequenceSpec, extent: float) -> float:
     return 1.05 * max(_min_sample_rate(spec), mc_floor)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     spectrum = _load_spectrum(args.spectrum)
     spec = _sequence_from_args(args)
     rate = args.sample_rate or _oracle_sample_rate(spec, spectrum.extent())
@@ -323,40 +308,47 @@ def _cmd_oracle(args) -> int:
     rel_diff = abs(result.chi_estimate - chi_quad) / scale
     agrees = abs(result.chi_estimate - chi_quad) <= \
         0.02 * scale + 3.0 * result.chi_stderr
-    out = _outdir(args)
     prefix = args.out or "oracle"
-    path = out / f"{prefix}.json"
-    fileio.write_json(path, {
+    return prefix, [(f"{prefix}.json", {
         "mc": result.to_dict(),
         "quadrature": {"chi": chi_quad, "coherence": math.exp(-chi_quad),
                        **info},
         "rel_difference": rel_diff,
         "agrees_2pct_3se": bool(agrees),
         "sample_rate": rate,
-    })
-    _emit(path)
-    return _finish(args, [path], prefix=prefix)
+    })]
 
 
 def _read_cli_curves(args, paths: list[str]):
     """The curves of ``paths``: raw tables of the sequence that the flags
-    give, with ``--family``, and sidecar curves without it."""
-    if args.family:
-        seq = _sequence_from_args(args)
-    else:
+    give, with ``--family``, and sidecar curves without it.  As in
+    ``synth``, a pulse-train table's longest time is its template's
+    duration."""
+    pulsed = bool(args.family) and Family(args.family).pulsed
+    if not args.family:
         _refuse(args, _SEQUENCE_FLAGS, "needs --family, which reads raw tables")
+    elif pulsed:
+        _refuse(args, "--duration --tau", "does not apply to a pulse-train "
+                "table, whose times set each point's duration")
+    # the flags are checked before any file is read; a pulse train's 1 s
+    # only picks the columns, until its table's longest time replaces it
+    seq = args.family and _sequence_from_args(
+        args, duration=1.0 if pulsed else args.duration)
     for p in paths:
         if not Path(p).exists():
             raise ValidationError(f"curve file does not exist: {p}")
     curves = [fileio.ingest_curve(p, seq) if args.family
               else fileio.read_curve(p) for p in paths]
+    if pulsed:
+        curves = [replace(c, sequence=_sequence_from_args(
+            args, duration=float(c.xs[-1]))) for c in curves]
     # a sidecar's pulse count meets the same cap as --n
     _check_pulses([c.sequence.n_pulses for c in curves
                    if c.sequence.family.pulsed])
     return curves
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args):
     if args.mode == "direct":
         _refuse(args, "--bins", "does not apply to direct mode")
     curves = _read_cli_curves(args, args.curves)
@@ -366,10 +358,9 @@ def _cmd_reconstruct(args) -> int:
         if len(curves) != 1:
             raise ValidationError("direct mode takes exactly one sweep curve")
         recon = direct_extract(curves[0])
-    out = _outdir(args)
     prefix = args.out or f"reconstruct_{args.mode}"
-    path = _emit(fileio.write_reconstruction(recon, out / f"{prefix}.csv"))
-    return _finish(args, [path], inputs=args.curves, prefix=prefix)
+    return prefix, [(f"{prefix}.csv",
+                     functools.partial(fileio.write_reconstruction, recon))]
 
 
 def _parse_initial(token: str) -> dict[str, float]:
@@ -396,7 +387,7 @@ def _parse_initial(token: str) -> dict[str, float]:
         raise ValidationError("--initial values must be numbers") from None
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     if args.mode != "noise":
         _refuse(args, "--initial --max-iterations",
                 f"does not apply to {args.mode} mode")
@@ -428,10 +419,8 @@ def _cmd_fit(args) -> int:
                                           uncertainties=curve.uncertainties)
         else:
             result = fitting.fit_revival_comb(curve.xs, curve.coherences)
-    out = _outdir(args)
     prefix = args.out or f"fit_{args.mode}"
-    path = out / f"{prefix}.json"
-    fileio.write_json(path, {
+    return prefix, [(f"{prefix}.json", {
         "parameters": result.parameters,
         "units": result.units,
         "residual_norm": result.residual_norm,
@@ -439,44 +428,35 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
         "metadata": result.metadata,
-    })
-    _emit(path)
-    return _finish(args, [path], inputs=list(args.curves), prefix=prefix)
+    })]
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args):
     _refuse(args, "--bins" if args.mode == "peak" else "--duration",
             f"does not apply to {args.mode} mode")
     spectrum = _load_spectrum(args.spectrum)
-    out = _outdir(args)
     prefix = args.out or "roundtrip"
-    outputs: list[Path] = []
     if args.mode == "peak":
         result = peak_study(spectrum, epsilon=args.epsilon,
                             seeds=[args.seed], duration=args.duration,
                             rel_tol=args.rel_tol)
-        for name, recon in sorted(result.reconstructions.items()):
-            outputs.append(_emit(fileio.write_reconstruction(
-                recon, out / f"{prefix}_{name}.csv")))
-        payload = result.to_dict()
+        recons = sorted(result.reconstructions.items())
+        metrics = result.to_dict()
         widths = {m.method: m.width_hz for m in result.methods()}
-        payload["width_ordering"] = sorted(widths, key=widths.get)
-        metrics = out / f"{prefix}_metrics.json"
-        fileio.write_json(metrics, payload)
-        outputs.append(_emit(metrics))
+        metrics["width_ordering"] = sorted(widths, key=widths.get)
     else:
         result = sd_study(spectrum, epsilon=args.epsilon, seed=args.seed,
                           bin_count=args.bins, rel_tol=args.rel_tol)
-        outputs.append(_emit(fileio.write_reconstruction(
-            result.reconstruction, out / f"{prefix}_sd.csv")))
-        metrics = out / f"{prefix}_metrics.json"
-        fileio.write_json(metrics, {
+        recons = [("sd", result.reconstruction)]
+        metrics = {
             "median_rel_error_central": result.median_rel_error_central,
             "central_band_rad_s": list(result.central_band),
             "n_compared": result.n_compared,
-        })
-        outputs.append(_emit(metrics))
-    return _finish(args, outputs, prefix=prefix)
+        }
+    return prefix, [*((f"{prefix}_{name}.csv",
+                       functools.partial(fileio.write_reconstruction, recon))
+                      for name, recon in recons),
+                    (f"{prefix}_metrics.json", metrics)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +626,7 @@ def main(argv: list[str] | None = None) -> int:
         # token that is not an option names the command
         command = next((arg for arg in argv if not arg.startswith("-")), None)
         parser = build_parser(_preload_config(argv), command)
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(parser.parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

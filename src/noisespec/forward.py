@@ -491,6 +491,12 @@ def synth_dysco_sweep(spectrum: NoiseSpectrum, template: SequenceSpec,
     return synth_curve(spectrum, template, f_grid, rel_tol)
 
 
+def _curve_seed(seed: int, index: int) -> int:
+    # curve ``index``'s own noise seed under a run seed: hashed, so that
+    # curve i of seed s does not draw the noise of curve i - 1 of seed s + 1
+    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
+
+
 def add_measurement_noise(curve: CoherenceCurve, epsilon: float,
                           seed: int) -> CoherenceCurve:
     """Add i.i.d. Gaussian readout noise of standard deviation ``epsilon``.

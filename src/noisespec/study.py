@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fitting import fit_gaussian_peak
-from .forward import CoherenceCurve, add_measurement_noise, \
+from .forward import CoherenceCurve, _curve_seed, add_measurement_noise, \
     synth_cpmg_family, synth_dysco_sweep
 from .noise import ComponentKind, NoiseSpectrum
 from .reconstruct import CpmgFilterProvider, ReconstructedSpectrum, \
@@ -33,11 +33,6 @@ PULSE_COUNTS = (1, 2, 4, 8)
 SD_TIMES, SD_POINTS_PER_N = (3e-5, 3e-3), 12
 PEAK_BAND, PEAK_SWEEP_POINTS = (1.8e5, 7.5e5), 56
 PEAK_CPMG_BAND, PEAK_POINTS_PER_N = (2.0e4, 2.0e6), 28
-
-
-def _curve_seed(seed: int, index: int) -> int:
-    # distinct, platform-stable stream per curve under one study seed
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
 
 
 def _noisy(curves: list[CoherenceCurve], epsilon: float,
@@ -186,24 +181,19 @@ def _fit_peak(recon: ReconstructedSpectrum,
 
 def peak_study(spectrum: NoiseSpectrum, epsilon: float = 0.03,
                seeds=(0, 1, 2, 3, 4), duration: float = 200e-6,
-               rel_tol: float = 1e-4, curves=None) -> PeakStudyResult:
+               rel_tol: float = 1e-4) -> PeakStudyResult:
     """Compare the three probing strategies on one spectral line.
 
     All three fits share the window ``PEAK_BAND``; the pulse-train
     reconstruction covers the wider ``PEAK_CPMG_BAND``, so its
     low-frequency harmonic artifacts stay outside the fitted window.
-    ``curves`` accepts the output of :func:`peak_study_curves` so that the
-    expensive noise-free synthesis can be shared between calls; it must
-    have been generated with the same spectrum, duration and rel_tol.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValidationError("peak study needs at least one seed")
     truth_hz = _line_center(spectrum) / _TWO_PI
-    if curves is None:
-        curves = peak_study_curves(spectrum, duration=duration,
-                                   rel_tol=rel_tol)
-    cpmg_curves, dysco_curve, gdysco_curve = curves
+    cpmg_curves, dysco_curve, gdysco_curve = peak_study_curves(
+        spectrum, duration=duration, rel_tol=rel_tol)
     window_hz = (PEAK_BAND[0] / _TWO_PI, PEAK_BAND[1] / _TWO_PI)
     per_seed = []
     samples: dict[str, list[tuple[float, float]]] = \
