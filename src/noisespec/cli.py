@@ -65,9 +65,6 @@ def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help="output directory (default: $NOISESPEC_OUTDIR or .)")
-    common.add_argument("--config", default=None,
-                        help="JSON file with defaults for this command's "
-                             "options")
     common.add_argument("--out", default=None)
     return common
 
@@ -176,9 +173,17 @@ def _run(args) -> int:
     """Run the command, which returns once all its work is done; only then
     create the output directory, write and print each output, and write
     ``<prefix>_manifest.json`` last."""
+    if args.out is not None and Path(args.out).name != args.out:
+        raise ValidationError(
+            "--out must be a file-name prefix without a directory, "
+            f"got {args.out!r}")
     prefix, outputs = args.func(args)
     out = Path(args.outdir or os.environ.get("NOISESPEC_OUTDIR") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create --outdir {out}: {exc.strerror}") from None
     for name, output in outputs:
         if callable(output):
             output(out / name)
@@ -186,7 +191,7 @@ def _run(args) -> int:
             fileio.write_json(out / name, output)
         print(out / name)
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "config", "outdir")}
+              if k not in ("func", "outdir")}
     manifest = out / f"{prefix}_manifest.json"
     # output names, not paths, keep runs relocatable
     fileio.write_manifest(manifest, config, seed=getattr(args, "seed", None),
@@ -221,7 +226,7 @@ def _cmd_bandwidth(args):
 
 @functools.cache
 def _declared_defaults(command: str) -> dict:
-    """``command``'s option defaults as declared, before any ``--config``."""
+    """``command``'s option defaults as declared."""
     (sub,) = (a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction))
     return {a.dest: a.default for a in sub.choices[command]._actions}
@@ -229,8 +234,7 @@ def _declared_defaults(command: str) -> dict:
 
 def _refuse(args, flags: str, why: str) -> None:
     """Refuse the first of the space-separated ``flags`` that is set: whose
-    value, from the command line or a ``--config``, is not the declared
-    default."""
+    value is not the declared default."""
     declared = _declared_defaults(args.command)
     for flag in flags.split():
         dest = flag[2:].replace("-", "_")
@@ -463,12 +467,7 @@ def _cmd_roundtrip(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser(defaults: dict | None = None,
-                 command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` (from ``--config``) preload ``command``,
-    the one being run, and no other: an option such as ``--mode`` has
-    different choices in different commands, so a config value that is
-    valid for one can be invalid for another."""
+def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
     # only the commands that draw noise or integrate chi read these
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -554,79 +553,12 @@ def build_parser(defaults: dict | None = None,
     p_rt.add_argument("--bins", type=int, default=None, help=_BINS_HELP)
     p_rt.set_defaults(func=_cmd_roundtrip)
 
-    if defaults and command in sub.choices:
-        chosen = sub.choices[command]
-        chosen.set_defaults(**_typed_defaults(chosen, defaults))
     return parser
 
 
-def _typed_defaults(parser: argparse.ArgumentParser, defaults: dict) -> dict:
-    """``defaults`` converted by each option's own type and checked against
-    its choices, as a value given on the command line would be (argparse
-    converts only string defaults, and checks none).  A single-value option
-    without a type (a path, a grid, a list of integers) takes only a
-    string.  A key that names no option of ``parser`` is left out."""
-    typed = {}
-    for action in parser._actions:
-        key = action.dest
-        if key not in defaults or action.default is argparse.SUPPRESS:
-            continue
-        typed[key] = value = defaults[key]
-        bad = f"config key {key!r}: invalid value {value!r}"
-        if value is None:               # null only where unset means None
-            if action.default is not None:
-                raise ValidationError(bad)
-            continue
-        if action.nargs == 0:           # a flag: only true or false
-            if not isinstance(value, bool):
-                raise ValidationError(bad)
-            continue
-        if action.type is not None:
-            # a number is read as its decimal form, as if typed; a bool,
-            # list or object is not a command-line token at all
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ValidationError(bad)
-            try:
-                value = action.type(str(value))
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                raise ValidationError(bad) from None
-        elif action.nargs is None and not isinstance(value, str):
-            raise ValidationError(f"{bad}; expected a string"
-                                  + (f": {action.help}" if action.help else ""))
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(str, action.choices))
-            raise ValidationError(f"{bad}; choose from {choices}")
-        typed[key] = value
-    return typed
-
-
-def _preload_config(argv: list[str]) -> dict:
-    # both "--config path" and "--config=path"; the last one wins, as in argparse
-    token = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            token = argv[i + 1]
-        elif arg.startswith("--config="):
-            token = arg.partition("=")[2]
-    if token is None:
-        return {}
-    path = Path(token)
-    if not path.exists():
-        raise ValidationError(f"config file does not exist: {path}")
-    data = fileio.read_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError("config JSON must be an object")
-    return {k.replace("-", "_"): v for k, v in data.items()}
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # the top-level parser takes no option but --help, so the first
-        # token that is not an option names the command
-        command = next((arg for arg in argv if not arg.startswith("-")), None)
-        parser = build_parser(_preload_config(argv), command)
-        return _run(parser.parse_args(argv))
+        return _run(build_parser().parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

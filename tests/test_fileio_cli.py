@@ -431,17 +431,6 @@ def test_cli_seed_must_be_a_non_negative_integer(tmp_path, capsys, command,
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(_SEEDED))
-@pytest.mark.parametrize("seed", [-1, 2.5, "-3"])
-def test_cli_config_seed_must_be_a_non_negative_integer(tmp_path, capsys,
-                                                        command, seed):
-    (tmp_path / "cfg.json").write_text(json.dumps({"seed": seed}))
-    rc = cli_main([*_SEEDED[command], "--config", str(tmp_path / "cfg.json"),
-                   "--outdir", str(tmp_path)])
-    assert rc == 3
-    assert "config key 'seed'" in _one_line_error(capsys)
-
-
 def test_cli_negative_seed_prints_no_traceback(tmp_path):
     src = str(Path(noisespec.fitting.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -540,13 +529,15 @@ def test_cli_outdir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "ff_cpmg.csv").exists()
 
 
-def test_cli_config_file_sets_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"outdir": str(tmp_path / "from_cfg")}))
-    rc = cli_main(["ff", "--family", "cpmg", "--n", "2",
-                   "--duration", "1e-4", "--config", str(cfg)])
-    assert rc == 0
-    assert (tmp_path / "from_cfg" / "ff_cpmg.csv").exists()
+@pytest.mark.parametrize("outdir", ["afile", "afile/sub"],
+                         ids=["file", "under-a-file"])
+def test_cli_outdir_that_cannot_be_created_exits_3(tmp_path, capsys, outdir):
+    (tmp_path / "afile").write_text("")
+    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                   "--outdir", str(tmp_path / outdir)])
+    assert rc == 3
+    assert "cannot create --outdir" in _one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_cli_reconstruct_direct_from_raw_table(tmp_path, bath):
@@ -611,15 +602,22 @@ def test_cli_synth_curves_reconstruct_as_the_sd_roundtrip(tmp_path):
             == (tmp_path / "rt" / f"roundtrip_sd{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("command, mode", [("reconstruct", "sd"),
-                                           ("fit", "noise")])
-def test_cli_schema_is_a_usage_error(tmp_path, capsys, command, mode):
-    # the sequence flags alone select raw-table ingestion
+@pytest.mark.parametrize("command, mode, option", [
+    ("reconstruct", "sd", ["--schema", "time_csv"]),
+    ("fit", "noise", ["--schema", "time_csv"]),
+    ("reconstruct", "sd", ["--config", "x.json"]),
+], ids=["schema-reconstruct", "schema-fit", "config"])
+def test_cli_removed_option_is_a_usage_error(tmp_path, capsys, command, mode,
+                                             option):
+    # the sequence flags alone select raw-table ingestion, and the command
+    # line alone sets the options
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        cli_main([command, "--mode", mode, "--curves", "c.csv",
-                  "--schema", "time_csv", "--outdir", str(tmp_path)])
+        cli_main([command, "--mode", mode, "--curves", "c.csv", *option,
+                  "--outdir", str(out)])
     assert err.value.code == 2
-    assert "unrecognized arguments: --schema" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _one_line_error(capsys) -> str:
@@ -652,93 +650,6 @@ def test_cli_spectrum_json_of_wrong_shape_exits_3(tmp_path, capsys):
                    "--outdir", str(tmp_path)])
     assert rc == 3
     assert "malformed spectrum model" in _one_line_error(capsys)
-
-
-@pytest.mark.parametrize("form", ["separate", "equals"])
-def test_cli_malformed_config_json_exits_3(tmp_path, capsys, form):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{outdir: nope}")
-    flag = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
-    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                   *flag])
-    assert rc == 3
-    assert "malformed JSON" in _one_line_error(capsys)
-
-
-def test_cli_config_with_equals_sign_sets_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"outdir": str(tmp_path / "from_cfg")}))
-    rc = cli_main(["ff", "--family", "cpmg", "--n", "2",
-                   "--duration", "1e-4", f"--config={cfg}"])
-    assert rc == 0
-    assert (tmp_path / "from_cfg" / "ff_cpmg.csv").exists()
-
-
-@pytest.mark.parametrize("command, config", [
-    ("synth", {"epsilon": [1]}),
-    ("synth", {"epsilon": "abc"}),
-    ("synth", {"seed": {}}),
-    ("reconstruct", {"bins": True}),
-    ("reconstruct", {"family": "bogus"}),
-    ("synth", {"revivals": "no"}),
-    ("synth", {"times": 5}),
-    ("synth", {"f_grid": [1e5, 2e5, 3]}),
-    ("synth", {"outdir": 5}),
-    ("synth", {"out": 5}),
-    ("synth", {"spectrum": 5}),
-    ("synth", {"orders": [1, 2]}),
-    ("synth", {"n_list": [2]}),
-    ("reconstruct", {"family": 5}),
-    ("fit", {"initial": {"gauss_delta": 5e5}}),
-    ("synth", {"epsilon": None}),
-], ids=["list-for-float", "abc-for-epsilon", "object-for-seed", "true-for-bins",
-        "outside-choices", "string-for-flag", "number-for-times",
-        "list-for-f-grid", "number-for-outdir", "number-for-out",
-        "number-for-spectrum", "list-for-orders", "list-for-n-list",
-        "number-for-family", "object-for-initial", "null-for-epsilon"])
-def test_cli_wrong_typed_config_default_exits_3(tmp_path, monkeypatch, capsys,
-                                                command, config):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    flags = {"synth": ["--spectrum", "zero", "--family", "cpmg", "--n-list",
-                       "2", "--times", "1e-5:1e-4:3"],
-             "reconstruct": ["--mode", "sd", "--curves", "c.csv"],
-             "fit": ["--mode", "noise", "--curves", "c.csv"]}[command]
-    rc = cli_main([command, *flags, "--config", "cfg.json"])
-    assert rc == 3
-    (key,) = config
-    assert f"config key {key!r}" in _one_line_error(capsys)
-
-
-@pytest.mark.parametrize("epsilon", [0.02, "0.02"], ids=["number", "string"])
-def test_cli_config_default_is_converted_by_the_option_type(tmp_path, epsilon):
-    (tmp_path / "cfg.json").write_text(json.dumps({"epsilon": epsilon}))
-    rc = cli_main(["synth", "--spectrum", "zero", "--family", "cpmg",
-                   "--n-list", "2", "--times", "1e-5:1e-4:3",
-                   "--config", str(tmp_path / "cfg.json"),
-                   "--outdir", str(tmp_path)])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "synth_cpmg_manifest.json").read_text())
-    assert manifest["config"]["epsilon"] == 0.02
-
-
-def test_cli_config_mode_reaches_only_the_command_run(tmp_path):
-    # --mode has different choices in fit, reconstruct and roundtrip; a
-    # config value must be checked against the command being run only
-    (tmp_path / "cfg.json").write_text(json.dumps({"mode": "sd"}))
-    cfg = ["--config", str(tmp_path / "cfg.json")]
-    rc = cli_main(["roundtrip", "--spectrum", "default", "--rel-tol", "1e-3",
-                   "--epsilon", "0.02", "--seed", "5", "--bins", "24",
-                   "--outdir", str(tmp_path / "rt"), *cfg])
-    assert rc == 0
-    assert (tmp_path / "rt" / "roundtrip_sd.csv").exists()
-    manifest = json.loads((tmp_path / "rt" / "roundtrip_manifest.json")
-                          .read_text())
-    assert manifest["config"]["mode"] == "sd"
-    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                   "--outdir", str(tmp_path / "ff"), *cfg])
-    assert rc == 0
-    assert (tmp_path / "ff" / "ff_cpmg.csv").exists()
 
 
 def test_cli_peak_fit_on_bad_spectrum_cell_exits_3(tmp_path, capsys):
@@ -899,6 +810,11 @@ _REJECTED = {
     "raw-table-tau": (["fit", "--mode", "noise", "--family", "hahn", "--tau",
                        "1e-5", "--curves", "CURVE"],
                       "fit --tau does not apply"),
+    # an --out with a directory part would write outside --outdir
+    "out-subdir": (["roundtrip", "--mode", "sd", "--out", "sub/x"],
+                   "--out must be a file-name prefix"),
+    "out-parent": (["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                    "--out", "../x"], "--out must be a file-name prefix"),
     **{f"fit-{mode}-{flag}": (["fit", "--mode", mode, "--curves",
                                "NAN_OMEGA" if mode == "peak" else "CURVE",
                                f"--{flag}", value],
@@ -1011,7 +927,7 @@ def test_cli_invalid_value_exits_3_and_writes_nothing(tmp_path, capsys,
     rc = cli_main([*argv, "--outdir", str(out)])
     assert rc == 3
     assert message in _one_line_error(capsys)
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "1"),
@@ -1031,30 +947,17 @@ def test_cli_seed_and_tolerance_only_where_read(tmp_path, capsys, argv, flag,
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("iterations, rc", [(3, 3), (2000, 0)],
-                         ids=["set", "declared-default"])
-def test_cli_config_value_counts_as_set_unless_declared(tmp_path, capsys,
-                                                        small_curve,
-                                                        iterations, rc):
-    # a value that a mode drops is refused from a config file too, unless
-    # it is the default that the parser declares
+def test_cli_flag_at_its_declared_default_counts_as_not_given(tmp_path,
+                                                              small_curve):
+    # a mode refuses a flag that it drops only at another value
     path = write_curve(small_curve, tmp_path / "c.csv")
-    (tmp_path / "cfg.json").write_text(
-        json.dumps({"max_iterations": iterations}))
     assert cli_main(["fit", "--mode", "envelope", "--curves", str(path),
-                     "--config", str(tmp_path / "cfg.json"),
-                     "--outdir", str(tmp_path / "out")]) == rc
-    if rc:
-        assert "--max-iterations" in _one_line_error(capsys)
-        assert not (tmp_path / "out").exists()
+                     "--max-iterations", "2000",
+                     "--outdir", str(tmp_path / "out")]) == 0
 
 
-def test_cli_config_key_of_another_command_is_not_recorded(tmp_path):
-    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 4,
-                                                   "rel_tol": 1e-3,
-                                                   "epsilon": 0.5}))
+def test_cli_manifest_records_only_the_options_of_the_command_run(tmp_path):
     rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
-                   "--config", str(tmp_path / "cfg.json"),
                    "--outdir", str(tmp_path)])
     assert rc == 0
     manifest = json.loads((tmp_path / "ff_cpmg_manifest.json").read_text())
@@ -1065,12 +968,10 @@ def test_cli_config_key_of_another_command_is_not_recorded(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--n-list", "2,x", "--times", "1e-5:1e-4:3"],
     ["--revivals", "--orders", "1,y"],
-    ["--config", "n_list.json", "--times", "1e-5:1e-4:3"],
-], ids=["n-list", "orders", "config"])
+], ids=["n-list", "orders"])
 def test_cli_malformed_integer_list_exits_3(tmp_path, monkeypatch, capsys,
                                             flags):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "n_list.json").write_text(json.dumps({"n_list": 5}))
     rc = cli_main(["synth", "--spectrum", "zero", "--family", "cpmg", *flags])
     assert rc == 3
     assert "comma-separated integers" in _one_line_error(capsys)
@@ -1226,32 +1127,6 @@ def test_fuzz_read_spectrum_csv(tmp_path, table):
     (tmp_path / "s.csv").write_bytes(table)
     _fuzz_cli(["fit", "--mode", "peak", "--curves", "s.csv",
                "--outdir", "out"], tmp_path)
-
-
-_JSON_VALUE = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 10), st.floats(),
-    st.sampled_from(["cpmg", "hahn", "dysco", "sd", "2", "1e-4", "nan", "x"]),
-    st.text(max_size=8), st.lists(st.integers(0, 3), max_size=2),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=1))
-_CONFIG_KEYS = st.sampled_from([
-    "family", "n", "duration", "tau", "f0", "sigma", "quant_steps",
-    "amplitude", "f_rabi", "t2_echo", "margin", "seed", "rel_tol", "epsilon",
-    "mode", "bins", "func", "command", "help", "outdir", "out", "config",
-    "unknown"])
-
-
-@_FUZZ
-@given(config=st.dictionaries(_CONFIG_KEYS, _JSON_VALUE, max_size=4),
-       command=st.sampled_from(["ff", "bandwidth"]))
-def test_fuzz_config_preload(tmp_path, config, command):
-    # the paths are given on the command line, which a config only defaults
-    tmp_path = Path(tempfile.mkdtemp(dir=tmp_path))
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    argv = [command, "--family", "cpmg", "--n", "2", "--duration", "1e-4",
-            "--config", "cfg.json", "--outdir", "out", "--out", "run"]
-    if command == "bandwidth":
-        argv += ["--f-rabi", "2e6"]
-    _fuzz_cli(argv, tmp_path)
 
 
 _SEQUENCE = st.fixed_dictionaries({}, optional={
