@@ -113,13 +113,8 @@ def _load_spectrum(token: str) -> NoiseSpectrum:
 
 
 def _parse_grid(token: str, geometric: bool) -> np.ndarray:
-    usage = f"grid must be lo:hi:count[:lin|:geom], got {token!r}"
+    usage = f"grid must be lo:hi:count, got {token!r}"
     parts = token.split(":")
-    if len(parts) == 4:
-        kind, parts = parts[3], parts[:3]
-        if kind not in ("geom", "lin"):
-            raise ValidationError(usage)
-        geometric = kind == "geom"
     if len(parts) != 3:
         raise ValidationError(usage)
     try:
@@ -172,13 +167,19 @@ def _check_pulses(n_list: list[int]) -> None:
 def _run(args) -> int:
     """Run the command, which returns once all its work is done; only then
     create the output directory, write and print each output, and write
-    ``<prefix>_manifest.json`` last."""
+    ``<prefix>_manifest.json`` last.  An output path that exists and is not
+    a regular file is refused before anything is written."""
     if args.out is not None and Path(args.out).name != args.out:
         raise ValidationError(
             "--out must be a file-name prefix without a directory, "
             f"got {args.out!r}")
     prefix, outputs = args.func(args)
     out = Path(args.outdir or os.environ.get("NOISESPEC_OUTDIR") or ".")
+    manifest = out / f"{prefix}_manifest.json"
+    for path in [*(out / name for name, _ in outputs), manifest]:
+        if path.exists() and not path.is_file():
+            raise ValidationError(
+                f"output path {path} exists and is not a regular file")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -192,7 +193,6 @@ def _run(args) -> int:
         print(out / name)
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "outdir")}
-    manifest = out / f"{prefix}_manifest.json"
     # output names, not paths, keep runs relocatable
     fileio.write_manifest(manifest, config, seed=getattr(args, "seed", None),
                           inputs=getattr(args, "curves", None),
@@ -467,6 +467,7 @@ def _cmd_roundtrip(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
     # only the commands that draw noise or integrate chi read these
@@ -503,11 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pulse counts, as comma-separated integers, "
                               f"each at most {_MAX_PULSES}")
     p_synth.add_argument("--times", default=None,
-                         help="evolution time grid lo:hi:count[:lin|:geom] "
+                         help="geometric evolution time grid lo:hi:count "
                               f"[s], count at most {_MAX_GRID_POINTS}")
     p_synth.add_argument("--f-grid", default=None,
-                         help="modulation frequency grid lo:hi:count [Hz], "
-                              f"count at most {_MAX_GRID_POINTS}")
+                         help="linear modulation frequency grid "
+                              "lo:hi:count [Hz], count at most "
+                              f"{_MAX_GRID_POINTS}")
     p_synth.add_argument("--revivals", action="store_true",
                          help="sample only at bath-period revivals")
     p_synth.add_argument("--orders", default=None,

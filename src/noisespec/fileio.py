@@ -107,15 +107,6 @@ def read_curve(path: str | Path) -> CoherenceCurve:
     sidecar keys it does not read, as in older files, are ignored, and an
     ``abscissa_kind`` that contradicts the sequence is an error."""
     path = Path(path)
-    sequence, provenance, metadata = _sidecar(path)
-    xs, cs, us, _ = _read_rows(path, sequence, drop_bad=False)
-    return CoherenceCurve(xs=xs, coherences=cs, uncertainties=us,
-                          sequence=sequence, provenance=provenance, metadata=metadata)
-
-
-def _sidecar(path: Path) -> tuple[SequenceSpec, Provenance, dict]:
-    """(sequence, provenance, metadata) from the sidecar of ``path``, read
-    and checked as :func:`read_curve` says."""
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise ValidationError(f"missing sidecar: {meta_file}")
@@ -134,7 +125,9 @@ def _sidecar(path: Path) -> tuple[SequenceSpec, Provenance, dict]:
             f"{meta_file}: abscissa_kind {kind.value!r} contradicts the "
             f"{sequence.family.value} sequence, whose abscissa is "
             f"{AbscissaKind.of(sequence).value}")
-    return sequence, provenance, metadata
+    xs, cs, us, _ = _read_rows(path, sequence, drop_bad=False)
+    return CoherenceCurve(xs=xs, coherences=cs, uncertainties=us,
+                          sequence=sequence, provenance=provenance, metadata=metadata)
 
 
 def _csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -188,11 +181,8 @@ def _read_rows(path: Path, sequence: SequenceSpec, drop_bad: bool):
     return xs, np.asarray(cs), np.asarray(us), dropped
 
 
-def ingest_curve(path: str | Path,
-                 sequence: SequenceSpec | None = None) -> CoherenceCurve:
-    """Load an externally produced coherence table of ``sequence``, or of
-    the sequence in the sidecar that :func:`write_curve` left next to the
-    file when ``sequence`` is None.
+def ingest_curve(path: str | Path, sequence: SequenceSpec) -> CoherenceCurve:
+    """Load an externally produced coherence table of ``sequence``.
 
     The sequence sets the columns: ``time_s`` for a pulse train or
     ``frequency_hz`` for a carrier, then ``coherence`` and an optional
@@ -203,8 +193,6 @@ def ingest_curve(path: str | Path,
     ``metadata['suspect_rows']``.
     """
     path = Path(path)
-    if sequence is None:
-        sequence = _sidecar(path)[0]
     xs, cs, us, dropped = _read_rows(path, sequence, drop_bad=True)
     suspect = np.flatnonzero(cs > 1.0 + 3.0 * us)
     meta: dict = {"dropped_lines": dropped}

@@ -29,6 +29,7 @@ from .sequences import Family, SensitivityTrace, SequenceSpec
 _POLE_NUDGE = 1e-9  # relative abscissa shift at removable singularities
 _TWO_PI = 2.0 * math.pi
 _EDGE_STRIDE = 32   # grid nodes per first quadrature panel
+_CARRIER_NODES = 2000   # nodes of a carrier row's default grid
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,9 @@ class FilterRows:
     def edges(self, rows) -> np.ndarray:
         """Each row's first quadrature panel edges: ``_grid_edges`` of its
         grid, from 0 for a carrier, whose sinc^2 far lobes reach DC."""
-        edges = _grid_edges(self.grid(rows))
-        return edges if self.family.pulsed else np.insert(edges, 0, 0.0, -1)
+        if self.family.pulsed:
+            return _grid_edges(self.grid(rows))
+        return _carrier_edges(self.w0[rows], float(self.durations[0]))
 
     def values(self, w: np.ndarray, rows) -> np.ndarray:
         """FF of each row."""
@@ -338,11 +340,29 @@ def _gdysco_values(omega: np.ndarray, w0: float, t: float, sigma: float,
     return scale * np.exp(-(sigma * (w - w0)) ** 2)
 
 
-def _carrier_grid(w0, duration, span=20.0, points=2000) -> np.ndarray:
-    """Linear grid across each line w0 +/- 2 pi span/duration (last axis)."""
+def _carrier_bounds(w0, duration, span=20.0):
+    """Ends of each line's grid, w0 +/- 2 pi span/duration, kept above 0."""
     half = _TWO_PI * span / duration
-    lo = np.maximum(w0 - half, 1e-6 * w0)
-    return np.linspace(lo, w0 + half, points, axis=-1)
+    return np.maximum(w0 - half, 1e-6 * w0), w0 + half
+
+
+def _carrier_grid(w0, duration, span=20.0,
+                  points=_CARRIER_NODES) -> np.ndarray:
+    """Linear grid across each line w0 +/- 2 pi span/duration (last axis)."""
+    return np.linspace(*_carrier_bounds(w0, duration, span), points, axis=-1)
+
+
+def _carrier_edges(w0, duration) -> np.ndarray:
+    """0, then ``_grid_edges`` of each line's default grid, without the grid:
+    with d = ``_CARRIER_NODES`` - 1, node j is j ((hi - lo) / d) + lo in
+    ``np.linspace``'s arithmetic, which takes (j / d) (hi - lo) + lo instead
+    once any row's step underflows to 0, and the last node is hi."""
+    lo, hi = (np.expand_dims(b, -1) for b in _carrier_bounds(w0, duration))
+    j = np.arange(0, _CARRIER_NODES, _EDGE_STRIDE)
+    d = _CARRIER_NODES - 1
+    step = (hi - lo) / d
+    nodes = j * step if np.all(step != 0) else j / d * (hi - lo)
+    return np.concatenate([np.zeros_like(lo), nodes + lo, hi], -1)
 
 
 def default_continuous_omegas(spec: SequenceSpec, span: float = 20.0,

@@ -78,6 +78,10 @@ _DEFAULT_BOUND_FACTORS = {
     "lorentz_sigma": (0.05, 20.0),
 }
 
+# entries of the noise fit's (points x grid nodes) arrays: its filter grids
+# and its kernel K; past this a fit is refused before they are allocated
+_MAX_KERNEL_ENTRIES = 10 ** 7
+
 # a parameter ending this close to an edge of its box, relative to the edge,
 # is on the bound; TRF's active set alone misses a stop just inside one
 _AT_BOUND_RTOL = 1e-5
@@ -89,6 +93,14 @@ def _spectrum_from(params: np.ndarray) -> NoiseSpectrum:
                      lorentz_delta=ld, lorentz_sigma=ls)
 
 
+def _check_kernel_size(points: int, nodes: int, what: str) -> None:
+    if points * nodes > _MAX_KERNEL_ENTRIES:
+        raise ValidationError(
+            f"noise fit of {points} points needs {points * nodes:.3g} {what} "
+            f"entries, above the cap of {_MAX_KERNEL_ENTRIES:.0e}: fit fewer "
+            "points")
+
+
 def _chi_operator(curve: CoherenceCurve,
                   window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """One frequency grid for every curve point, and the (points x nodes)
@@ -98,11 +110,14 @@ def _chi_operator(curve: CoherenceCurve,
     with 16 samples per filter period of the longest duration, at least as
     fine as every point's own oscillation; outside it the grid takes every
     point's filter nodes, and a short geometric tail closes it.  Row i of K
-    is (t_i / 2) FF_i(grid) times the trapezoid weights.
+    is (t_i / 2) FF_i(grid) times the trapezoid weights.  Past
+    ``_MAX_KERNEL_ENTRIES`` entries in the filter grids or in K, the fit
+    raises ``ValidationError`` before they are built.
     """
     lo, hi = window
     filters = FilterRows.of(curve.sequence, curve.xs)
     points = np.arange(curve.xs.size)
+    _check_kernel_size(points.size, filters.grid(0).size, "filter-grid")
     nodes = filters.grid(points)        # every point's default filter grid
     # 16 samples per filter oscillation: trapezoid error then largely
     # cancels across periods under the slow spectral envelope
@@ -116,6 +131,7 @@ def _chi_operator(curve: CoherenceCurve,
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
+    _check_kernel_size(points.size, grid.size, "kernel")
     kernel = 0.5 * curve.xs[:, None] * filters.values(grid, points[:, None])
     return grid, kernel * w
 
@@ -127,9 +143,7 @@ def _noise_window(initial: np.ndarray,
     return max(0.25 * c_lo - 2.0 * s_hi, 1e-6 * initial[2]), c_hi + 8.0 * s_hi
 
 
-def fit_noise_params(curve: CoherenceCurve,
-                     initial: dict[str, float] | None = None,
-                     bounds: dict[str, tuple[float, float]] | None = None,
+def fit_noise_params(curve: CoherenceCurve, initial: dict[str, float],
                      max_iterations: int = 2000) -> FitResult:
     """Fit the two-component noise model to one pulse-train curve.
 
@@ -140,8 +154,8 @@ def fit_noise_params(curve: CoherenceCurve,
     center, the center is first located by a one-dimensional scan over its
     bounded range before the joint solve.
 
-    ``bounds`` maps parameter names to (lo, hi); missing entries get a
-    default box around the initial guess.  ``max_iterations`` caps the
+    Each parameter is bounded to a box of fixed factors of its initial
+    guess (``_DEFAULT_BOUND_FACTORS``).  ``max_iterations`` caps the
     solver's residual evaluations, not counting those of its
     finite-difference Jacobian.  ``metadata["at_bound"]`` names the
     parameters the solver left on a bound of the box or within 1e-5 of it,
@@ -155,8 +169,6 @@ def fit_noise_params(curve: CoherenceCurve,
 
     if curve.abscissa_kind is not AbscissaKind.TIME:
         raise ValidationError("noise-model fit expects a TIME curve")
-    if initial is None:
-        raise ValidationError("noise-model fit needs an initial guess")
     missing = [k for k in _NOISE_PARAM_ORDER if k not in initial]
     if missing:
         raise ValidationError(f"initial guess missing {missing}")
@@ -165,15 +177,8 @@ def fit_noise_params(curve: CoherenceCurve,
     x0 = np.array([float(initial[k]) for k in _NOISE_PARAM_ORDER])
     if np.any(x0 <= 0.0):
         raise ValidationError("initial noise parameters must be positive")
-    box: dict[str, tuple[float, float]] = {}
-    for i, name in enumerate(_NOISE_PARAM_ORDER):
-        lo_f, hi_f = _DEFAULT_BOUND_FACTORS[name]
-        lo, hi = (bounds or {}).get(name, (lo_f * x0[i], hi_f * x0[i]))
-        if not lo <= x0[i] <= hi:
-            raise ValidationError(f"initial {name} outside its bounds")
-        if not lo < hi:
-            raise ValidationError(f"bounds of {name} need lo < hi")
-        box[name] = (float(lo), float(hi))
+    box = {k: tuple(f * x for f in _DEFAULT_BOUND_FACTORS[k])
+           for k, x in zip(_NOISE_PARAM_ORDER, x0)}
 
     grid, kernel = _chi_operator(curve, _noise_window(x0, box))
     data = curve.coherences
@@ -237,14 +242,13 @@ def fit_noise_params(curve: CoherenceCurve,
 # ---------------------------------------------------------------------------
 
 def fit_envelope(times: np.ndarray, coherences: np.ndarray,
-                 fix_power: float | None = None,
                  uncertainties: np.ndarray | None = None) -> FitResult:
-    """Fit C(t) = exp(-(t/T2)^p), with p in (0, 4].
+    """Fit C(t) = exp(-(t/T2)^p) over T2 and p, with p in [1e-3, 4].
 
-    ``fix_power`` freezes the exponent and fits T2 alone.  Each coherence
-    must lie in (-3u, 1 + 3u], u being its ``uncertainties`` entry (0 by
-    default): readout noise may carry a point up to 3 sigma past 0 or 1,
-    as in the CLIPPED rule of the spectral inversions.
+    Each coherence must lie in (-3u, 1 + 3u], u being its
+    ``uncertainties`` entry (0 by default): readout noise may carry a point
+    up to 3 sigma past 0 or 1, as in the CLIPPED rule of the spectral
+    inversions.
     """
     from scipy.optimize import least_squares
 
@@ -266,33 +270,19 @@ def fit_envelope(times: np.ndarray, coherences: np.ndarray,
     below = times[cs < math.exp(-1.0)]
     initial_t2 = float(below[0]) if below.size else float(times[-1])
 
-    if fix_power is not None:
-        if not 0.0 < fix_power <= 4.0:
-            raise ValidationError("fix_power must lie in (0, 4]")
+    def model(x):
+        return np.exp(-np.power(times / x[0], x[1]))
 
-        def model1(x):
-            return np.exp(-np.power(times / x[0], fix_power))
-
-        res = least_squares(lambda x: model1(x) - cs, x0=[initial_t2],
-                            bounds=([1e-12], [np.inf]))
-        t2, p = float(res.x[0]), float(fix_power)
-        cov = None if degenerate else _covariance(res.jac, res.fun, ("t2",))
-    else:
-        def model2(x):
-            return np.exp(-np.power(times / x[0], x[1]))
-
-        res = least_squares(lambda x: model2(x) - cs,
-                            x0=[initial_t2, 1.5],
-                            bounds=([1e-12, 1e-3], [np.inf, 4.0]))
-        t2, p = float(res.x[0]), float(res.x[1])
-        cov = None if degenerate else _covariance(res.jac, res.fun, ("t2", "power"))
+    res = least_squares(lambda x: model(x) - cs, x0=[initial_t2, 1.5],
+                        bounds=([1e-12, 1e-3], [np.inf, 4.0]))
+    t2, p = float(res.x[0]), float(res.x[1])
+    cov = None if degenerate else _covariance(res.jac, res.fun, ("t2", "power"))
     return FitResult(parameters={"t2": t2, "power": p},
                      units={"t2": "s", "power": "1"},
                      residual_norm=float(np.linalg.norm(res.fun)),
                      covariance_diag=cov, converged=bool(res.success),
                      iterations=int(res.nfev),
-                     metadata={"degenerate": degenerate,
-                               "power_fixed": fix_power is not None})
+                     metadata={"degenerate": degenerate})
 
 
 # ---------------------------------------------------------------------------

@@ -461,13 +461,13 @@ def synth_curve(spectrum: NoiseSpectrum, template: SequenceSpec, xs,
 def synth_cpmg_family(spectrum: NoiseSpectrum, n_list, time_grid_per_n,
                       rel_tol: float = 1e-4) -> list[CoherenceCurve]:
     """``synth_curve`` of one CPMG train per distinct pulse count, at its
-    longest time, over its total times in ``time_grid_per_n`` (a dict keyed
-    by n or a list parallel to ``n_list``)."""
+    longest time, over its total times in ``time_grid_per_n``, a dict keyed
+    by n."""
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) != len(n_list):
         raise ValidationError(f"pulse counts must be distinct, got {n_list}")
     if not isinstance(time_grid_per_n, dict):
-        time_grid_per_n = dict(zip(n_list, time_grid_per_n))
+        raise TypeError("time_grid_per_n must be a dict keyed by pulse count")
     missing = [n for n in n_list if n not in time_grid_per_n]
     if missing:
         raise ValidationError(f"no time grid for pulse counts {missing}")

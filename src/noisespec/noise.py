@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+# share of a parametric spectrum's power that may lie past its extent
+_EXTENT_REL = 1e-3
+
 
 class ComponentKind(str, Enum):
     LORENTZIAN_DC = "lorentzian_dc"
@@ -130,11 +133,12 @@ class NoiseSpectrum:
             return self.power_factor * float(np.trapezoid(ts, tw))
         return self.power_factor * sum(c.power() for c in self.components)
 
-    def extent(self, rel: float = 1e-3) -> float:
-        """Frequency beyond which less than ``rel`` of the total power remains."""
+    def extent(self) -> float:
+        """Frequency beyond which less than ``_EXTENT_REL`` of the total
+        power remains."""
         if self.table is not None:
             return float(self.table[0][-1])
-        budget = rel * sum(c.power() for c in self.components)
+        budget = _EXTENT_REL * sum(c.power() for c in self.components)
         return max(c.extent(budget) for c in self.components)
 
     def refinement_points(self) -> np.ndarray:

@@ -326,20 +326,16 @@ class DynamicRange:
         return self.s_max / self.s_min
 
 
-def dynamic_range(template: SequenceSpec, epsilon: float, a_max: float = 1.0,
-                  normalized_contrast: bool = False) -> DynamicRange:
+def dynamic_range(template: SequenceSpec, epsilon: float,
+                  a_max: float = 1.0) -> DynamicRange:
     """Smallest and largest detectable spectral density for one sequence.
 
     ``epsilon`` is the coherence readout noise floor and ``a_max`` the
-    maximum contrast of the family (1 for pulsed trains).  The default
-    reading inverts the raw contrast bounds,
+    maximum contrast of the family (1 for pulsed trains).  The bounds
+    invert the raw contrast bounds,
 
         s_min = -2 ln(a_max - epsilon) / (t * gain),
-        s_max = -2 ln(epsilon) / (t * gain);
-
-    ``normalized_contrast=True`` instead measures both bounds relative to
-    ``a_max`` (dividing the logarithms' arguments by it), which suits data
-    already rescaled to unit plateau.
+        s_max = -2 ln(epsilon) / (t * gain).
     """
     if not 0.0 < epsilon < a_max <= 1.0:
         raise ValidationError("need 0 < epsilon < a_max <= 1")
@@ -348,14 +344,9 @@ def dynamic_range(template: SequenceSpec, epsilon: float, a_max: float = 1.0,
         gain = _main_lobe(template.n_pulses)[1]
     else:
         gain = peak_stats(filter_for(template)).gain
-    lo_arg = a_max - epsilon
-    hi_arg = epsilon
-    if normalized_contrast:
-        lo_arg /= a_max
-        hi_arg /= a_max
-    if lo_arg >= 1.0:
+    if a_max - epsilon >= 1.0:
         raise ValidationError("noise floor leaves no detectable attenuation")
     return DynamicRange(
-        s_min=-2.0 * math.log(lo_arg) / (t * gain),
-        s_max=-2.0 * math.log(hi_arg) / (t * gain),
+        s_min=-2.0 * math.log(a_max - epsilon) / (t * gain),
+        s_max=-2.0 * math.log(epsilon) / (t * gain),
     )

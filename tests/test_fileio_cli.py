@@ -78,10 +78,10 @@ def test_sidecar_with_the_old_abscissa_label_still_reads(tmp_path,
     meta = json.loads(meta_file.read_text())
     assert "swept" not in meta
     meta_file.write_text(json.dumps({**meta, "swept": "duration"}))
-    for loaded in (read_curve(path), ingest_curve(path)):
-        assert np.array_equal(loaded.xs, small_curve.xs)
-        assert np.array_equal(loaded.coherences, small_curve.coherences)
-        assert loaded.sequence == small_curve.sequence
+    loaded = read_curve(path)
+    assert np.array_equal(loaded.xs, small_curve.xs)
+    assert np.array_equal(loaded.coherences, small_curve.coherences)
+    assert loaded.sequence == small_curve.sequence
 
 
 def test_read_curve_requires_sidecar(tmp_path, small_curve):
@@ -145,19 +145,6 @@ def test_ingest_rejects_malformed_tables(tmp_path):
                          "3e-5,0.6,0.01\n1e-5,0.9,0.01\n", "b.csv")
     with pytest.raises(ValidationError):
         ingest_curve(backwards, SequenceSpec.cpmg(2, duration=3e-5))
-
-
-def test_ingest_prefers_sidecar_sequence(tmp_path, small_curve):
-    path = write_curve(small_curve, tmp_path / "c.csv")
-    curve = ingest_curve(path)
-    assert curve.sequence == small_curve.sequence
-
-
-def test_ingest_needs_sequence_without_sidecar(tmp_path):
-    path = _raw_csv(tmp_path,
-                    "time_s,coherence,uncertainty\n1e-5,0.9,0.01\n")
-    with pytest.raises(ValidationError):
-        ingest_curve(path)
 
 
 @pytest.mark.parametrize("header, column, sequence", [
@@ -386,7 +373,8 @@ def test_cli_missing_curve_file_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("token", [
-    "1e-5:1e-3:4:foo", "x:1e-3:4", "1e-5:y:4", "1e-5:1e-3:z",
+    "1e-5:1e-3:4:foo", "3e-5:3e-4:3:lin", "3e-5:3e-4:3:geom", "x:1e-3:4",
+    "1e-5:y:4", "1e-5:1e-3:z",
     "1e-5:1e-3:2.5", "nan:1e-3:4", "1e-5:inf:4", "1e-5:1e-3",
 ])
 def test_cli_malformed_grid_exits_3(tmp_path, capsys, token):
@@ -538,6 +526,50 @@ def test_cli_outdir_that_cannot_be_created_exits_3(tmp_path, capsys, outdir):
     assert rc == 3
     assert "cannot create --outdir" in _one_line_error(capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("name", ["ff_cpmg_stats.json",
+                                  "ff_cpmg_manifest.json"])
+def test_cli_output_path_that_is_a_directory_exits_3(tmp_path, capsys, name):
+    # refused before the first write, so no partial run is left behind
+    (tmp_path / name).mkdir()
+    rc = cli_main(["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4",
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert name in _one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_cli_runs_in_one_process_write_the_same_files(tmp_path):
+    # the parser is built once per process; no run leaves state in it that
+    # a later run reads
+    ff = ["ff", "--family", "cpmg", "--n", "2", "--duration", "1e-4"]
+    assert cli_main([*ff, "--outdir", str(tmp_path / "a")]) == 0
+    assert cli_main(["synth", "--spectrum", "zero", "--family", "dysco",
+                     "--duration", "2e-4", "--f-grid", "5e4:2e5:3",
+                     "--outdir", str(tmp_path / "synth")]) == 0
+    assert cli_main([*ff, "--outdir", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == ["ff_cpmg.csv", "ff_cpmg_manifest.json",
+                     "ff_cpmg_stats.json"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+def test_cli_noise_fit_past_its_work_budget_exits_3(tmp_path, capsys):
+    # 10,000 points, the grid cap, would need 1.3e7 filter-grid entries and
+    # a kernel of about 4e9; neither is built
+    table = tmp_path / "in" / "long.csv"
+    table.parent.mkdir()
+    times = np.linspace(2.6e-5, 1.6e-3, 10_000)
+    table.write_text("time_s,coherence\n" + "".join(
+        f"{t!r},0.5\n" for t in times.tolist()))
+    rc = cli_main(["fit", "--mode", "noise", "--family", "cpmg", "--n", "8",
+                   "--curves", str(table), "--outdir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "cap of 1e+07" in _one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
 def test_cli_reconstruct_direct_from_raw_table(tmp_path, bath):

@@ -20,7 +20,7 @@ from noisespec import (
     numeric_ff,
     peak_stats,
 )
-from noisespec.filters import FilterRows, _cpmg_values
+from noisespec.filters import FilterRows, _cpmg_values, _grid_edges
 
 # Frozen from an independent dense-grid scan of the closed forms; peak
 # positions quoted as z0/pi with z = omega * duration.
@@ -225,6 +225,26 @@ def test_continuous_total_area_matches_mean_square():
         ff = dysco_ff(spec, omegas=grid)
         trace = build_trace(spec, sample_rate=2e7)
         assert ff.total_area() == pytest.approx(trace.mean_square(), rel=0.01)
+
+
+@pytest.mark.parametrize("family", [Family.DYSCO, Family.GDYSCO])
+@pytest.mark.parametrize("top", [2e6, 1e22], ids=["sweep", "zero-step"])
+def test_carrier_edges_are_the_grid_edges_bit_for_bit(family, top):
+    # rows below 20 / duration = 1e5 Hz clamp their grid at 1e-6 w0; a
+    # line too narrow to move a node at 1e22 Hz has a zero step, which
+    # changes np.linspace's arithmetic for the whole batch
+    spec = SequenceSpec(family, duration=2e-4, mod_frequency=1e5)
+    f0s = np.concatenate([np.geomspace(10.0, 9e4, 20),
+                          np.linspace(1.1e5, top, 36)])
+    rows = FilterRows.of(spec, f0s)
+    ids = np.arange(f0s.size)
+    grids = rows.grid(ids)
+    assert np.any(grids[:, 0] == 1e-6 * rows.w0)
+    want = np.insert(_grid_edges(grids), 0, 0.0, -1)
+    got = rows.edges(ids)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    one = np.insert(_grid_edges(rows.grid(3)), 0, 0.0)
+    assert rows.edges(3).tobytes() == one.tobytes()
 
 
 def test_cpmg_total_area_matches_mean_square():

@@ -8,9 +8,11 @@ import pytest
 
 from noisespec import (
     FLAG_CLIPPED,
+    CoherenceCurve,
     Family,
     Method,
     NumericError,
+    Provenance,
     ReconstructedSpectrum,
     SequenceSpec,
     ValidationError,
@@ -55,14 +57,6 @@ def test_envelope_fit_recovers_model_exactly():
     assert result.residual_norm < 1e-9
     assert result.converged
     assert set(result.covariance_diag) == {"t2", "power"}
-
-
-def test_envelope_fit_with_fixed_power():
-    times = np.linspace(5e-5, 3e-3, 40)
-    result = fit_envelope(times, _envelope(times, 1e-3, 1.0), fix_power=1.0)
-    assert result["t2"] == pytest.approx(1e-3, rel=1e-9)
-    assert result["power"] == 1.0
-    assert result.metadata["power_fixed"] is True
 
 
 def test_envelope_fit_flags_degenerate_data():
@@ -330,8 +324,8 @@ def test_noise_fit_validation(bath):
         [5e4, 1e5])
     with pytest.raises(ValidationError):
         fit_noise_params(sweep, initial=dict(TRUTH))
-    with pytest.raises(ValidationError):
-        fit_noise_params(curve, initial=None)
+    with pytest.raises(TypeError):
+        fit_noise_params(curve)
     partial = dict(TRUTH)
     del partial["lorentz_sigma"]
     with pytest.raises(ValidationError):
@@ -339,14 +333,26 @@ def test_noise_fit_validation(bath):
     negative = dict(TRUTH, gauss_delta=-1.0)
     with pytest.raises(ValidationError):
         fit_noise_params(curve, initial=negative)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         fit_noise_params(curve, initial=dict(TRUTH),
                          bounds={"gauss_center": (500e3, 600e3)})
     with pytest.raises(ValidationError):
-        fit_noise_params(curve, initial=dict(TRUTH),
-                         bounds={"gauss_center": (392e3, 392e3)})
-    with pytest.raises(ValidationError):
         fit_noise_params(curve, initial=dict(TRUTH), max_iterations=0)
+
+
+@pytest.mark.parametrize("points, what", [(10_000, "filter-grid"),
+                                          (1000, "kernel")])
+def test_noise_fit_refuses_past_its_work_budget(points, what):
+    # CPMG-8 keeps 1271 filter-grid nodes a point: 10,000 points need 1.3e7
+    # of them, refused before they are built; 1000 points need 1.3e6, but
+    # a shared grid of ~48k nodes, and so a 4.8e7-entry kernel
+    times = np.linspace(2.6e-5, 1.6e-3, points)
+    curve = CoherenceCurve(times, np.full(points, 0.5), np.zeros(points),
+                           SequenceSpec.cpmg(8, duration=1.6e-3),
+                           Provenance("ingested"))
+    with pytest.raises(ValidationError, match=f"{what} entries, above the "
+                                              r"cap of 1e\+07"):
+        fit_noise_params(curve, initial=dict(TRUTH))
 
 
 def test_fit_result_getitem():

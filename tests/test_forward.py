@@ -446,7 +446,8 @@ def test_cpmg_synthesis_matches_exact_ou_chi(sigma):
     if sigma > 5e4:
         # the power extent reaches past z = 8e4 on the longest traces
         assert bath.extent() * times[-1] > 8e4
-    curves = synth_cpmg_family(bath, n_list, time_grid_per_n=[times] * 6)
+    curves = synth_cpmg_family(bath, n_list,
+                               time_grid_per_n=dict.fromkeys(n_list, times))
     for n, curve in zip(n_list, curves):
         exact = np.array([_ou_cpmg_chi(n, t, delta, sigma) for t in times])
         rel = np.abs(-np.log(curve.coherences) / exact - 1.0)
@@ -495,7 +496,7 @@ def test_filter_for_without_spectrum_is_the_closed_form(spec):
 
 
 def test_short_time_coherence_is_near_unity(bath):
-    curves = synth_cpmg_family(bath, [2], time_grid_per_n=[[1e-9, 2e-9]])
+    curves = synth_cpmg_family(bath, [2], time_grid_per_n={2: [1e-9, 2e-9]})
     assert np.all(curves[0].coherences > 1.0 - 1e-5)
 
 
@@ -512,7 +513,7 @@ def test_coherence_revives_at_full_line_periods(bath):
     period = 2.0 * math.pi / 392e3
     t_rev, t_half = 4.0 * period, 2.0 * period
     (curve,) = synth_cpmg_family(bath, [2],
-                                 time_grid_per_n=[[t_half, t_rev]])
+                                 time_grid_per_n={2: [t_half, t_rev]})
     c_half, c_rev = curve.coherences
     # Decay is non-monotone: the later full-period point recovers coherence.
     assert t_rev > t_half
@@ -521,7 +522,7 @@ def test_coherence_revives_at_full_line_periods(bath):
 
 def test_curves_carry_quadrature_diagnostics(tmp_path, bath):
     times = np.geomspace(1e-5, 2e-4, 4)
-    (curve,) = synth_cpmg_family(bath, [4], time_grid_per_n=[times])
+    (curve,) = synth_cpmg_family(bath, [4], time_grid_per_n={4: times})
     ffs = [filter_for(SequenceSpec.cpmg(4, duration=t)) for t in times]
     infos = [chi_detailed(bath, ff)[1] for ff in ffs]
     grids = [ff.omegas.size for ff in ffs]
@@ -598,11 +599,15 @@ def test_cpmg_family_rejects_a_nan_duration(bath):
         synth_cpmg_family(bath, [2], time_grid_per_n={2: [1e-5, math.nan]})
 
 
-@pytest.mark.parametrize("grids", [{1: [1e-5, 2e-5]}, [[1e-5, 2e-5]]],
-                         ids=["dict", "list"])
+@pytest.mark.parametrize("grids", [{1: [1e-5, 2e-5]}], ids=["dict"])
 def test_cpmg_family_names_a_pulse_count_without_a_time_grid(bath, grids):
     with pytest.raises(ValidationError, match=r"pulse counts \[2\]"):
         synth_cpmg_family(bath, [1, 2], time_grid_per_n=grids)
+
+
+def test_cpmg_family_takes_its_time_grids_as_a_dict(bath):
+    with pytest.raises(TypeError, match="dict"):
+        synth_cpmg_family(bath, [2], time_grid_per_n=[np.array([1e-5])])
 
 
 def test_cpmg_family_rejects_a_repeated_pulse_count(bath):

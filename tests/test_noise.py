@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from noisespec import (
     NoiseSpectrum,
@@ -89,8 +90,9 @@ def test_extent_covers_the_line(bath):
     extent = bath.extent()
     assert math.isfinite(extent)
     assert extent > 392e3 + 4 * 25e3
-    # shrinking the tail threshold can only grow the extent
-    assert bath.extent(rel=1e-6) >= extent
+    # less than 1e-3 of the power lies past it
+    tail, _ = quad(lambda w: float(bath(w)), extent, math.inf)
+    assert tail < 1e-3 * bath.total_power()
 
 
 def test_refinement_points_cover_the_line(bath):
